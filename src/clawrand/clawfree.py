@@ -311,11 +311,12 @@ def hardcore_game(
 _SPAN_GUARD = 1_000_000
 
 
-def is_moderate_vector(ring: ModRing, v) -> bool:
-    """At least n/4 entries with centered magnitude in (q/8, 3q/8]."""
+def is_moderate_vector(ring: ModRing, v):
+    """At least n/4 entries with centered magnitude in (q/8, 3q/8].  A 2-D
+    array is tested row by row, giving one answer per row."""
     a = ring.abs(v)
-    hits = int(((8 * a > ring.q) & (8 * a <= 3 * ring.q)).sum())
-    return 4 * hits >= a.size
+    hits = ((8 * a > ring.q) & (8 * a <= 3 * ring.q)).sum(axis=-1)
+    return 4 * hits >= a.shape[-1]
 
 
 def moderate_check(ring: ModRing, C) -> bool:
@@ -324,57 +325,28 @@ def moderate_check(ring: ModRing, C) -> bool:
     The zero matrix spans nothing nonzero and is reported not moderate.
     Enumeration is guarded at q^ell combinations."""
     C = ring.reduce(np.atleast_2d(C))
-    ell, n = C.shape
+    ell = C.shape[0]
     if ring.q**ell > _SPAN_GUARD:
         raise SizeGuardError(f"row-span enumeration q^ell = {ring.q ** ell} too large")
     coeffs = np.indices((ring.q,) * ell).reshape(ell, -1).T  # (q^ell, ell)
     span = ring.reduce(coeffs @ C)
     nonzero = span[np.any(span != 0, axis=1)]
-    if nonzero.shape[0] == 0:
-        return False
-    a = np.abs(np.where(span > ring.q // 2, span - ring.q, span))
-    hits = ((8 * a > ring.q) & (8 * a <= 3 * ring.q)).sum(axis=1)
-    ok = 4 * hits >= n
-    return bool(ok[np.any(span != 0, axis=1)].all())
+    return nonzero.shape[0] > 0 and bool(is_moderate_vector(ring, nonzero).all())
 
 
-def parity_joint_counts(ring: ModRing, C, dhat) -> np.ndarray:
-    """Exact counts over s in {0,1}^n of (C*s mod q, dhat.s mod 2).
+def _parity_counts(ring: ModRing, C, dhats) -> np.ndarray:
+    """Exact counts over s in {0,1}^n of (C*s mod q, dhat.s mod 2) for each
+    mask of a batch; shape (count,) + (q,)*ell + (2,).
 
-    Returned array has shape (q,)*ell + (2,).  The count is a coordinate
-    recursion (each secret bit either contributes its column or not),
-    which evaluates the same sum as enumerating all 2^n secrets."""
-    C = ring.reduce(np.atleast_2d(C))
-    dhat = np.asarray(dhat, dtype=np.int64)
-    ell, n = C.shape
-    if dhat.shape != (n,):
-        raise ValueError("mask length must match the number of columns")
-    if ring.q**ell * 2 > _SPAN_GUARD:
-        raise SizeGuardError("joint state space too large")
-    dtype = np.int64 if n <= 62 else np.float64
-    state = np.zeros((ring.q,) * ell + (2,), dtype=dtype)
-    state[(0,) * ell + (0,)] = 1
-    for i in range(n):
-        shifted = state
-        for j in range(ell):
-            shifted = np.roll(shifted, int(C[j, i]), axis=j)
-        if dhat[i] & 1:
-            shifted = np.roll(shifted, 1, axis=ell)
-        state = state + shifted
-    return state
-
-
-def parity_tv_many(ring: ModRing, C, dhats) -> np.ndarray:
-    """parity_tv against uniform for a batch of masks over one matrix.
-
-    Same recursion as parity_joint_counts with the masks stacked on a
-    leading axis; the per-coordinate ring shift is shared, only the parity
-    toggle differs per mask."""
+    The count is a coordinate recursion (each secret bit either contributes
+    its column or not), which evaluates the same sum as enumerating all 2^n
+    secrets.  The per-coordinate ring shift is shared by the batch, only
+    the parity toggle differs per mask."""
     C = ring.reduce(np.atleast_2d(C))
     dhats = np.asarray(dhats, dtype=np.int64)
     ell, n = C.shape
     if dhats.ndim != 2 or dhats.shape[1] != n:
-        raise ValueError("mask batch must have shape (count, n)")
+        raise ValueError(f"each mask must be a vector of length {n}, the number of columns")
     if ring.q**ell * 2 > _SPAN_GUARD:
         raise SizeGuardError("joint state space too large")
     batch = dhats.shape[0]
@@ -389,9 +361,21 @@ def parity_tv_many(ring: ModRing, C, dhats) -> np.ndarray:
         flipped = np.roll(shifted, 1, axis=ell + 1)
         sel = toggle[i].reshape((batch,) + (1,) * (ell + 1))
         state = state + np.where(sel, flipped, shifted)
-    probs = state.reshape(batch, -1).astype(float)
+    return state
+
+
+def parity_joint_counts(ring: ModRing, C, dhat) -> np.ndarray:
+    """Exact counts over s in {0,1}^n of (C*s mod q, dhat.s mod 2), as an
+    array of shape (q,)*ell + (2,)."""
+    return _parity_counts(ring, C, [dhat])[0]
+
+
+def parity_tv_many(ring: ModRing, C, dhats) -> np.ndarray:
+    """parity_tv against uniform for a batch of masks over one matrix."""
+    state = _parity_counts(ring, C, dhats)
+    probs = state.reshape(state.shape[0], -1).astype(float)
     probs /= probs.sum(axis=1, keepdims=True)
-    return 0.5 * np.abs(probs - 1.0 / (2 * ring.q**ell)).sum(axis=1)
+    return 0.5 * np.abs(probs - 1.0 / probs.shape[1]).sum(axis=1)
 
 
 def parity_tv(ring: ModRing, C, dhat, v=None) -> float:

@@ -51,12 +51,11 @@ from .extract import (
 from .modq import ModRing, SizeGuardError, canonical_json
 from .profiles import PROFILES, get_profile
 from .protocol import (
-    BornDeviceProver,
-    ConstantSimplifiedProver,
     MalformedAnswer,
     prover_catalog,
     run_protocol1,
     run_protocol2,
+    simplified_provers,
     single_round_test,
 )
 from .rngstream import substream
@@ -77,6 +76,13 @@ def _profile_from_args(args):
         return get_profile(args.profile)
     except KeyError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _emit(obj, path: str | None):
@@ -102,14 +108,10 @@ def cmd_keygen(args) -> int:
     return 0
 
 
-def _build_prover(kind: str, profile, seed: int):
-    if kind in ("device-honest", "device-constant"):
-        if kind == "device-honest":
-            return BornDeviceProver(honest_qubit_device(), substream(seed, "prover", kind))
-        return ConstantSimplifiedProver()
-    catalog = prover_catalog()
+def _build_prover(mode: str, kind: str, seed: int):
+    catalog = simplified_provers() if mode == "protocol2" else prover_catalog()
     if kind not in catalog:
-        raise ConfigError(f"unknown prover {kind!r}; known: {sorted(catalog) + ['device-honest', 'device-constant']}")
+        raise ConfigError(f"prover {kind!r} does not play {mode}; known: {sorted(catalog)}")
     return catalog[kind](substream(seed, "prover", kind))
 
 
@@ -120,18 +122,8 @@ def cmd_run(args) -> int:
     if profile.violated():
         print(f"# profile {profile.name!r} violates: {', '.join(profile.violated())}", file=sys.stderr)
     rng = substream(args.seed, "verifier", args.mode)
-    if args.mode != "protocol2" and args.prover.startswith("device-"):
-        raise ConfigError(f"prover {args.prover!r} only plays protocol2")
-    if args.mode == "protocol1":
-        prover = _build_prover(args.prover, profile, args.seed)
-        tr = run_protocol1(profile, prover, rng, n_rounds=args.rounds)
-    elif args.mode == "protocol2":
-        if args.prover not in ("device-honest", "device-constant"):
-            raise ConfigError("protocol2 takes --prover device-honest or device-constant")
-        prover = _build_prover(args.prover, profile, args.seed)
-        tr = run_protocol2(profile, prover, rng, n_rounds=args.rounds)
-    elif args.mode == "single-round":
-        prover = _build_prover(args.prover, profile, args.seed)
+    prover = _build_prover(args.mode, args.prover, args.seed)
+    if args.mode == "single-round":
         report = single_round_test(profile, prover, args.trials, rng)
         _emit(
             {
@@ -147,8 +139,8 @@ def cmd_run(args) -> int:
             args.summary,
         )
         return 0
-    else:
-        raise ConfigError(f"unknown mode {args.mode!r}")
+    run = run_protocol2 if args.mode == "protocol2" else run_protocol1
+    tr = run(profile, prover, rng, n_rounds=args.rounds)
     if args.transcript:
         Path(args.transcript).write_text(tr.to_jsonl())
     _emit(tr.summary(), args.summary)
@@ -369,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--mode", default="protocol1", choices=["protocol1", "protocol2", "single-round"])
     p.add_argument("--prover", default="ideal")
-    p.add_argument("--rounds", type=int, default=None, help="override the profile's round count")
-    p.add_argument("--trials", type=int, default=10000, help="single-round trials")
+    p.add_argument("--rounds", type=_positive_int, default=None, help="override the profile's round count")
+    p.add_argument("--trials", type=_positive_int, default=10000, help="single-round trials")
     p.add_argument("--transcript", default=None, help="JSONL transcript path")
     p.add_argument("--summary", default=None, help="summary JSON path (default stdout)")
     p.set_defaults(fn=cmd_run)
@@ -400,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transport", default="tcp", choices=["tcp", "stdio"])
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=19151)
-    p.add_argument("--rounds", type=int, default=None)
+    p.add_argument("--rounds", type=_positive_int, default=None)
     p.add_argument("--transcript", default=None)
     p.set_defaults(fn=cmd_serve)
 

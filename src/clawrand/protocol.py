@@ -8,7 +8,9 @@ p_test) or a generation round, and sends challenge 0 (equation) or 1
 against the claw parity when d is in the good set and by a fair coin when
 it is not; preimage answers are graded by the public support check.  Keys
 are refreshed after every test round.  The run is accepted when the test
-passes reach (1 - gamma) * p_test * N.
+passes reach (1 - gamma) * p_test * N; a run without test rounds is
+rejected.  The single-round test is the same rule applied to one round
+with a fresh key.
 
 Protocol 2 (simplified): no keys and no images; the prover reports its
 own pass bit e (plus a subspace bit k when probed with T = 1) on
@@ -19,7 +21,9 @@ rounds are scored, against the threshold
 Prover adapters are duck-typed: new_key(key), next_sample() and
 answer(c, t) for Protocol 1; round2(c, t) for Protocol 2.  Adapters with
 wants_trapdoor = True receive the full key pair (simulation privilege);
-everyone else sees the public part only.
+everyone else sees the public part only.  prover_catalog() (Protocol 1 and
+the single-round test) and simplified_provers() (Protocol 2) are the only
+source of prover names for the CLI and the wire.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .clawfree import (
     in_good_set,
     wilson_interval,
 )
-from .devices import SimplifiedDevice
+from .devices import SimplifiedDevice, honest_qubit_device
 from .extract import bits_to_hex, empirical_min_entropy
 from .modq import SizeGuardError, canonical_json
 from .profiles import ParameterProfile
@@ -196,8 +200,9 @@ def _give_key(prover, key: KeyPair):
 
 
 def _request_sample(key: KeyPair, prover):
-    """Ask for an image until it inverts, up to the resample cap."""
-    y = None
+    """Ask for an image until it inverts, up to the resample cap.  Returns
+    (y, claw, resamples) with claw = (x0, x1), or None when no image
+    inverted."""
     for attempt in range(_RESAMPLE_CAP + 1):
         try:
             y = np.asarray(prover.next_sample(), dtype=np.int64)
@@ -208,11 +213,10 @@ def _request_sample(key: KeyPair, prover):
         if y.shape != (key.profile.m,):
             raise MalformedAnswer(f"sample shape {y.shape}")
         try:
-            x0, x1 = claw_from_image(key, y)
-            return y, x0, x1, attempt
+            return y, claw_from_image(key, y), attempt
         except (DecodeFailure, SizeGuardError):
             continue
-    return y, None, None, _RESAMPLE_CAP
+    return y, None, _RESAMPLE_CAP
 
 
 class SessionAbort(Exception):
@@ -252,11 +256,37 @@ def _validated_answer(key: KeyPair, prover, c: int):
     return bbit, x
 
 
-def _score_equation(key: KeyPair, x0, x1, u, d, rng) -> int:
+def _play_round(key: KeyPair, prover, rng: np.random.Generator, budget: _Budget, c: int):
+    """One round of the verifier's rule once the challenge c is drawn (c
+    stays on the verifier until the image is in).  Returns (y, resamples,
+    answer record, W).
+
+    A malformed sample scores 0 before any answer is asked for; an image
+    that never inverts scores 0 whatever the answer.  A preimage answer is
+    credited by the public support check; an equation answer by the claw
+    parity when d is in both good sets, and by a fair coin when it is not."""
+    try:
+        y, claw, resamples = _request_sample(key, prover)
+    except MalformedAnswer as exc:
+        return None, 0, {"malformed": str(exc)}, 0
+    try:
+        answer = _validated_answer(key, prover, c)
+    except MalformedAnswer as exc:
+        return y, resamples, {"malformed": str(exc)}, 0
+    if c == 1:
+        bbit, x = answer
+        w = chk(key.public, bbit, x, y) if claw is not None else 0
+        return y, resamples, {"b": bbit, "x": [int(t) for t in x]}, w
+    u, d = answer
+    record = {"u": u, "d": [int(t) for t in d]}
+    if claw is None:
+        return y, resamples, record, 0
+    x0, x1 = claw
     ring = key.ring
-    if not (in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d)):
-        return int(rng.integers(0, 2))
-    return int(u == claw_equation_bit(ring, x0, x1, d))
+    if in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d):
+        return y, resamples, record, int(u == claw_equation_bit(ring, x0, x1, d))
+    budget.draw(1.0)
+    return y, resamples, record, int(rng.integers(0, 2))
 
 
 def run_protocol1(
@@ -276,15 +306,6 @@ def run_protocol1(
     epoch = 0
 
     for i in range(N):
-        try:
-            y, x0, x1, resamples = _request_sample(key, prover)
-        except MalformedAnswer as exc:
-            y, x0, x1, resamples = None, None, None, 0
-            note = str(exc)
-        else:
-            note = None
-        inv_failed = x0 is None
-
         is_test = bool(rng.random() < profile.p_test)
         budget.draw(_h2(profile.p_test))
         if is_test:
@@ -292,33 +313,7 @@ def run_protocol1(
             budget.draw(1.0)
         else:
             c = 1
-
-        answer_rec: dict
-        w = 0
-        if note is not None:
-            answer_rec = {"malformed": note}
-        else:
-            try:
-                if c == 0:
-                    u, d = _validated_answer(key, prover, 0)
-                    answer_rec = {"u": u, "d": [int(t) for t in d]}
-                    if not inv_failed:
-                        good = in_good_set(key.ring, 0, x0, d) and in_good_set(
-                            key.ring, 1, x1, d
-                        )
-                        if good:
-                            w = int(u == claw_equation_bit(key.ring, x0, x1, d))
-                        else:
-                            w = int(rng.integers(0, 2))
-                            budget.draw(1.0)
-                else:
-                    bbit, x = _validated_answer(key, prover, 1)
-                    answer_rec = {"b": bbit, "x": [int(t) for t in x]}
-                    w = chk(key.public, bbit, x, y) if not inv_failed else 0
-            except MalformedAnswer as exc:
-                answer_rec = {"malformed": str(exc)}
-                w = 0
-
+        y, resamples, answer_rec, w = _play_round(key, prover, rng, budget, c)
         if is_test:
             o = w
         else:
@@ -359,15 +354,18 @@ def _finalize_protocol1(tr: Transcript, profile: ParameterProfile):
     tr.test_count = len(tests)
     tr.test_passes = sum(r.w for r in tests)
     tr.threshold = (1 - profile.gamma) * profile.p_test * tr.n_rounds
-    tr.accepted = tr.test_passes >= tr.threshold - 1e-9
+    tr.accepted = protocol1_verdict(tr.records, profile, tr.n_rounds)
+    if not tests:
+        tr.notes.append("no test rounds occurred; rejecting degenerate run")
     tr.gen_outputs = [r.o for r in gens]
     tr.output_bits = [r.o for r in gens if r.w == 1]
 
 
 def protocol1_verdict(records: list[RoundRecord], profile: ParameterProfile, n_rounds: int) -> bool:
-    """Acceptance recomputed from the records alone."""
-    passes = sum(r.w for r in records if r.round_type == "test")
-    return passes >= (1 - profile.gamma) * profile.p_test * n_rounds - 1e-9
+    """Acceptance recomputed from the records alone: the test passes reach
+    (1 - gamma) * p_test * N, and a run without test rounds is rejected."""
+    passes = [r.w for r in records if r.round_type == "test"]
+    return bool(passes) and sum(passes) >= (1 - profile.gamma) * profile.p_test * n_rounds - 1e-9
 
 
 def run_protocol2(
@@ -378,7 +376,6 @@ def run_protocol2(
 ) -> Transcript:
     N = profile.N if n_rounds is None else n_rounds
     budget = _Budget(profile)
-    budget.key_cost = 0.0  # no keys in the simplified protocol
     tr = Transcript(mode="protocol2", profile=profile.as_dict(), n_rounds=N)
 
     for i in range(N):
@@ -468,29 +465,17 @@ def single_round_test(
     profile: ParameterProfile, prover, trials: int, rng: np.random.Generator
 ) -> SingleRoundReport:
     """Fresh key per trial; image, then preimage or equation challenge with
-    probability 1/2 each."""
+    probability 1/2 each, graded by protocol 1's rule.  A trial whose sample
+    is malformed scores 0 without the prover being asked for an answer."""
     wins = 0
     eq = [0, 0]
     pre = [0, 0]
+    budget = _Budget(profile)  # the grading coin draws on it; never reported
     for _ in range(trials):
         key = gen(profile, rng)
         _give_key(prover, key)
-        try:
-            y, x0, x1, _ = _request_sample(key, prover)
-        except MalformedAnswer:
-            y, x0, x1 = None, None, None
         c = int(rng.integers(0, 2))
-        w = 0
-        try:
-            if c == 0:
-                u, d = _validated_answer(key, prover, 0)
-                if x0 is not None:
-                    w = _score_equation(key, x0, x1, u, d, rng)
-            else:
-                bbit, x = _validated_answer(key, prover, 1)
-                w = chk(key.public, bbit, x, y) if x0 is not None else 0
-        except MalformedAnswer:
-            w = 0
+        w = _play_round(key, prover, rng, budget, c)[3]
         if c == 0:
             eq[w] += 1
         else:
@@ -611,6 +596,8 @@ def classical_provers() -> dict:
 
 
 def prover_catalog() -> dict:
+    """Protocol-1 and single-round adapters keyed by CLI name; each entry
+    builds the prover from its rng."""
     cat = dict(classical_provers())
     cat["ideal"] = qsim.IdealProver
     cat["qsim-micro"] = qsim.SimulatedProver
@@ -670,3 +657,12 @@ class ConstantSimplifiedProver:
 
     def round2(self, c: int, t: int):
         return (1, 0) if c == 0 else 0
+
+
+def simplified_provers() -> dict:
+    """Protocol-2 adapters keyed by CLI name; each entry builds the prover
+    from its rng."""
+    return {
+        "device-honest": lambda rng: BornDeviceProver(honest_qubit_device(), rng),
+        "device-constant": ConstantSimplifiedProver,
+    }

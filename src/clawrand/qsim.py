@@ -136,32 +136,16 @@ def measure_equation(col: CollapsedState, rng: np.random.Generator) -> tuple[int
     return u, d.astype(np.int64)
 
 
-def state_overlap(a: PreparedState, b: PreparedState) -> float:
-    """Inner product of two prepared states (both have real amplitudes)."""
-    return float((a.amps * b.amps).sum())
-
-
 def equation_violation_bound(key: KeyPair) -> float:
     """Trace-distance bound on the equation-test failure rate induced by
-    preparing from the public shift instead of the exact secret shift:
-    computed exactly from the two state vectors at micro scale."""
-    from .clawfree import density_secret
-
+    preparing from the public shift u instead of the exact secret shift
+    A*s: computed exactly from the two state vectors at micro scale."""
     pub = key.public
-    prof = pub.profile
-    q, n, m = prof.q, prof.n, prof.m
-    if 2 * q ** (n + m) > _STATE_GUARD:
-        raise SizeGuardError("exact bound only available at micro scale")
+    ring = pub.ring
+    exact_shift = ring.reduce(ring.matmul(pub.A, key.s_bits))
+    ideal = prepare_sampling_state(PublicKey(pub.profile, pub.A, exact_shift))
     actual = prepare_sampling_state(pub)
-    ideal = np.zeros_like(actual.amps)
-    xs = _index_grid(q, n)
-    ys = _index_grid(q, m)
-    for b in (0, 1):
-        for xi in range(q**n):
-            for yi in range(q**m):
-                ideal[b, xi, yi] = density_secret(key, b, xs[xi], ys[yi])
-    ideal = np.sqrt(ideal / (2 * q**n))
-    fid = float((ideal * actual.amps).sum())
+    fid = float((ideal.amps * actual.amps).sum())
     return math.sqrt(max(0.0, 1.0 - fid * fid))
 
 

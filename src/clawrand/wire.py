@@ -20,7 +20,7 @@ import numpy as np
 from .clawfree import PublicKey, public_key_from_json, public_key_to_json
 from .modq import canonical_json
 from .profiles import ParameterProfile, get_profile
-from .protocol import SessionAbort, Transcript, prover_catalog, run_protocol1, run_protocol2
+from .protocol import SessionAbort, Transcript, prover_catalog, run_protocol1, run_protocol2, simplified_provers
 from .rngstream import substream
 
 log = logging.getLogger("clawrand.wire")
@@ -173,13 +173,12 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
     profile = get_profile(hello["profile"]["name"])
     mode = hello["mode"]
     rounds = int(hello["rounds"])
-    if mode == "protocol2":
-        return _client_loop2(chan, prover_kind, seed)
-
-    catalog = prover_catalog()
+    catalog = simplified_provers() if mode == "protocol2" else prover_catalog()
     if prover_kind not in catalog:
-        raise WireError(f"unknown prover kind {prover_kind!r}")
+        raise WireError(f"prover {prover_kind!r} cannot play {mode}")
     prover = catalog[prover_kind](substream(seed, "prover", prover_kind))
+    if mode == "protocol2":
+        return _client_loop2(chan, prover)
     if getattr(prover, "wants_trapdoor", False):
         raise WireError(f"prover {prover_kind!r} needs the trapdoor and cannot run remotely")
 
@@ -210,16 +209,7 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
             raise WireError(f"unexpected message {kind!r}")
 
 
-def _client_loop2(chan: LineChannel, prover_kind: str, seed: int) -> dict:
-    from .devices import honest_qubit_device
-    from .protocol import BornDeviceProver, ConstantSimplifiedProver
-
-    if prover_kind == "device-honest":
-        prover = BornDeviceProver(honest_qubit_device(), substream(seed, "prover", prover_kind))
-    elif prover_kind == "device-constant":
-        prover = ConstantSimplifiedProver()
-    else:
-        raise WireError(f"prover {prover_kind!r} cannot play the simplified protocol")
+def _client_loop2(chan: LineChannel, prover) -> dict:
     while True:
         msg = chan.recv()
         if msg["type"] == "final":

@@ -17,6 +17,7 @@ from clawrand.protocol import (
     protocol1_verdict,
     run_protocol1,
     run_protocol2,
+    simplified_provers,
     single_round_test,
 )
 from clawrand.qsim import IdealProver, SimulatedProver
@@ -203,6 +204,35 @@ def test_malformed_prover_scores_zero_but_run_completes():
     assert all(r.w == 0 for r in tr.records if r.round_type == "test")
 
 
+@pytest.mark.parametrize("p_test,rounds", [(0.1, 0), (0.0, 20)])
+def test_protocol1_rejects_run_without_test_rounds(p_test, rounds):
+    # with p_test = 0 the threshold is 0, which no test passes would meet
+    prof = get_profile("micro", p_test=p_test)
+    prover = CommittedPreimageProver(substream(20, "prover"))
+    tr = run_protocol1(prof, prover, substream(20, "verifier"), n_rounds=rounds)
+    assert tr.test_count == 0
+    assert not tr.accepted
+    assert not protocol1_verdict(tr.records, prof, rounds)
+    assert any("degenerate" in n for n in tr.notes)
+
+
+def test_single_round_malformed_sample_asks_no_answer():
+    class ShortSamples(CommittedPreimageProver):
+        answers = 0
+
+        def next_sample(self):
+            return super().next_sample()[:-1]
+
+        def answer(self, c, t=None):
+            self.answers += 1
+            return super().answer(c, t)
+
+    prover = ShortSamples(substream(21, "prover"))
+    rep = single_round_test(get_profile("micro"), prover, 30, substream(21, "verifier"))
+    assert rep.successes == 0
+    assert prover.answers == 0
+
+
 def test_protocol2_honest_device():
     prof = get_profile("micro", N=600, p_test=0.3)
     dev = honest_qubit_device()
@@ -246,6 +276,7 @@ def test_prover_catalog_names():
         "classical-random",
         "classical-replay",
     }
+    assert set(simplified_provers()) == {"device-honest", "device-constant"}
 
 
 def test_budget_reports_expansion():

@@ -219,6 +219,15 @@ def test_cli_exit_codes(tmp_path):
     r = run_cli("run", "--mode", "protocol1", "--prover", "qsim-micro",
                 "--profile", "desk-small", "--rounds", "5", "--seed", "1")
     assert r.returncode == 5  # state-vector guard at desk scale
+    # degenerate counts and provers of the other protocol are configuration errors
+    for argv in (
+        ["run", "--mode", "protocol1", "--rounds", "0"],
+        ["run", "--mode", "protocol1", "--rounds", "-3"],
+        ["run", "--mode", "single-round", "--trials", "0"],
+        ["run", "--mode", "protocol1", "--prover", "device-honest"],
+        ["serve", "--transport", "stdio", "--rounds", "0"],
+    ):
+        assert run_cli(*argv, "--profile", "micro").returncode == 2, argv
 
 
 def test_cli_serve_stdio_pipe(tmp_path):
