@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -224,3 +225,48 @@ def test_gadget_block_combination_cancels():
     key = gen_trap(ring, 3, 16, np.random.default_rng(11))
     RI = np.hstack([key.R, np.eye(key.w, dtype=np.int64)])
     assert np.array_equal(ring.matmul(RI, key.A), gadget_matrix(ring, 3))
+
+
+# SHA-256 over every outcome of the decode-outcome sweep below, taken
+# before the fallback search was vectorised.
+_OUTCOMES_SHA256 = "bd1339b98959deb350c9a654d0d61fee69a7b06bef5c92216fc47fb864cef656"
+
+
+def test_invert_outcomes_pinned():
+    # 5 keys per desk profile, noise at five widths, bound as the verifier
+    # sets it (widened to the sample's own norm): the sweep reaches the
+    # primary decode, single- and pair-block repairs and fallback failures.
+    # A change to how the fallback searches must not change any outcome.
+    from clawrand.clawfree import _sample_noise_bound
+    from clawrand.profiles import get_profile
+    from clawrand.rngstream import substream
+
+    h = hashlib.sha256()
+    paths = {"primary": 0, "single": 0, "pair": 0, "failure": 0}
+    for name in ("desk-small", "desk-medium", "desk-protocol"):
+        prof = get_profile(name)
+        ring = prof.ring()
+        rng = substream(0, "decode-outcomes", name)
+        bound = _sample_noise_bound(prof)
+        for _ in range(5):
+            key = gen_trap(ring, prof.n, prof.m, rng)
+            for width in (prof.B_P, 1.0, 1.5, 2.0, 3.0):
+                noise = TruncGaussian(ring, width)
+                for _ in range(40):
+                    x = ring.uniform(rng, prof.n)
+                    e = ring.centered(noise.sample_vec(rng, prof.m))
+                    y = ring.reduce(ring.matmul(key.A, x) + e)
+                    max_norm = max(bound, math.sqrt(float((e * e).sum())) + 1e-9)
+                    s_primary, _ = invert(key, y)
+                    try:
+                        s, e2 = invert(key, y, max_norm=max_norm)
+                    except DecodeFailure as exc:
+                        paths["failure"] += 1
+                        h.update(str(exc).encode("utf-8"))
+                        continue
+                    moved = int((s != s_primary).sum())
+                    paths[("primary", "single", "pair")[moved]] += 1
+                    h.update(np.asarray(s, dtype="<i8").tobytes())
+                    h.update(np.asarray(e2, dtype="<i8").tobytes())
+    assert min(paths.values()) > 0, paths
+    assert h.hexdigest() == _OUTCOMES_SHA256
