@@ -11,9 +11,12 @@ transpose of the bidiagonal basis (2 on the diagonal, -1 below, last
 column the binary expansion of q) of the gadget's perp lattice.  When the
 caller supplies a noise bound, a decode is accepted only if the residual
 y - A*s has centered norm within the bound; if the nearest-plane answer
-fails that check, nearby block codewords are tried in order of syndrome
-distance before reporting failure.  A returned answer always satisfies
-y = A*s + e exactly.
+fails that check, nearby block codewords are tried before reporting
+failure.  Every block ranks its codewords by syndrome distance in one
+batched sort, and the repairs of one block, then (at small n) of two
+blocks are each checked as one array, in a fixed order whose first hit
+wins; squared centered residues come from a table of size O(q) cached per
+modulus.  A returned answer always satisfies y = A*s + e exactly.
 """
 
 from __future__ import annotations
@@ -116,6 +119,8 @@ def _decode_data(ring: ModRing) -> dict:
     if q <= _ENUM_Q:
         g = ring.reduce(1 << np.arange(k, dtype=np.int64))
         data["codebook"] = ring.reduce(np.outer(np.arange(q, dtype=np.int64), g))
+        # squared centered residue of r mod q, for 0 <= r < 3q
+        data["sq"] = (ring.centered(np.arange(3 * q, dtype=np.int64)) ** 2).astype(np.int32)
     _DECODE_CACHE[q] = data
     return data
 
@@ -153,70 +158,63 @@ def invert(key: TrapdoorKey, y, max_norm: float | None = None):
         return s, e
     if "codebook" not in data:
         raise DecodeFailure("residual norm exceeds bound (no enumeration at this q)")
-    s = _fallback_search(key, data, c, y, s, max_norm)
+    s = _fallback_search(key, data, c, e, s, max_norm)
     if s is None:
         raise DecodeFailure("no candidate within the noise bound")
     e = ring.centered(y - ring.matmul(key.A, s))
     return s, e
 
 
-def _fallback_search(key, data, c, y, s_primary, max_norm):
+def _fallback_search(key, data, c, e0, s_primary, max_norm):
     # The nearest-plane answer rarely misses by more than a block or two,
-    # so repairs are searched incrementally: per block, the top few
-    # codewords by syndrome distance, residuals updated by column deltas
-    # rather than full products.  Pairs are only tried at small n; deeper
-    # misses are reported as failures.
-    ring = key.ring
-    k = data["k"]
-    n = key.n
-    tbl = data["codebook"]
-    e0 = ring.centered(y - ring.matmul(key.A, s_primary)).astype(np.int64)
-    # per-block ranked alternatives and their residual delta vectors
-    owners: list[int] = []
-    values: list[int] = []
-    rows: list[np.ndarray] = []
-    per_block: list[list[int]] = [[] for _ in range(n)]
-    blocks = ring.centered(c).reshape(n, k)
-    for j in range(n):
-        d = ring.centered(blocks[j][None, :] - tbl)
-        order = np.argsort((d * d).sum(axis=1), kind="stable")[:_FALLBACK_LIST]
-        for t in order:
-            t = int(t)
-            if t == s_primary[j]:
-                continue
-            per_block[j].append(len(owners))
-            owners.append(j)
-            values.append(t)
-            rows.append((s_primary[j] - t) * key.A[:, j])
-    if not rows:
-        return None
-    deltas = np.stack(rows)  # (n_cand, m)
-
-    def fits(e):
-        e = ring.centered(e).astype(float)
-        return math.sqrt(float((e * e).sum())) <= max_norm
-
-    # single-block repairs, all candidates in one sweep
-    repaired = ring.centered(e0[None, :] + deltas).astype(float)
-    norms = np.sqrt((repaired * repaired).sum(axis=1))
-    hits = np.flatnonzero(norms <= max_norm)
-    if hits.size:
-        i = int(hits[0])
-        s = s_primary.copy()
-        s[owners[i]] = values[i]
+    # so repairs are searched in two batches.  Every block ranks all q
+    # codewords by syndrome distance at once (stable sort, so ties keep
+    # codeword order) and keeps its top _FALLBACK_LIST other than the
+    # primary value; candidates are listed block by block, rank by rank.
+    # Single-block repairs come first, then, at small n, repairs of two
+    # distinct blocks in (block, block, candidate, candidate) order.  The
+    # first repair in that order whose residual meets the bound wins;
+    # deeper misses are reported as failures.  Residuals are e0 plus
+    # column deltas, never full products, and their squared centered
+    # residues are looked up in the table of size 3q.
+    q = key.ring.q
+    sq = data["sq"]
+    dist = sq[(c.reshape(key.n, 1, -1) - data["codebook"]) % q].sum(axis=2)  # (n, q)
+    ranked = np.argsort(dist, axis=1, kind="stable")[:, :_FALLBACK_LIST]
+    owner, rank = np.nonzero(ranked != s_primary[:, None])
+    value = ranked[owner, rank]
+    # (s_primary[j] - t) * A[:, j] mod q per candidate, built in place in
+    # int32 (q <= _ENUM_Q keeps q^2 in range): the temporaries then stay
+    # small, which matters more here than the arithmetic
+    delta = key.A.T.astype(np.int32)[owner]  # (n_cand, m)
+    delta *= ((s_primary[owner] - value) % q).astype(np.int32)[:, None]
+    delta %= q
+    r0 = (e0 % q).astype(np.int32)
+    s = s_primary.copy()
+    i = _first_within(sq, delta + r0, max_norm)
+    if i is not None:
+        s[owner[i]] = value[i]
         return s
-    if n > _FALLBACK_PAIR_MAX_N:
+    if key.n > _FALLBACK_PAIR_MAX_N:
         return None
-    for i in range(n):
-        for j in range(i + 1, n):
-            for ci in per_block[i]:
-                partial = e0 + deltas[ci]
-                for cj in per_block[j]:
-                    if fits(partial + deltas[cj]):
-                        s = s_primary.copy()
-                        s[i], s[j] = values[ci], values[cj]
-                        return s
-    return None
+    a, b = np.triu_indices(owner.size, 1)
+    distinct = owner[a] != owner[b]
+    a, b = a[distinct], b[distinct]
+    order = np.lexsort((b, a, owner[b], owner[a]))
+    a, b = a[order], b[order]
+    i = _first_within(sq, delta[a] + delta[b] + r0, max_norm)
+    if i is None:
+        return None
+    s[owner[a[i]]], s[owner[b[i]]] = value[a[i]], value[b[i]]
+    return s
+
+
+def _first_within(sq, resid, max_norm):
+    """Index of the first row of residues in [0, 3q) whose centered norm
+    is within max_norm, or None."""
+    norms2 = sq[resid].sum(axis=1)
+    hits = np.flatnonzero(np.sqrt(norms2.astype(float)) <= max_norm)
+    return int(hits[0]) if hits.size else None
 
 
 def exhaustive_invert(ring: ModRing, A: np.ndarray, y, max_norm: float):

@@ -270,3 +270,89 @@ def test_invert_outcomes_pinned():
                     h.update(np.asarray(e2, dtype="<i8").tobytes())
     assert min(paths.values()) > 0, paths
     assert h.hexdigest() == _OUTCOMES_SHA256
+
+
+def _fallback_reference(key, y, max_norm):
+    """The fallback search as per-block loops: the reference the batched
+    search in invert must match outcome for outcome."""
+    ring, n, k = key.ring, key.n, key.ring.coord_bits
+    g = ring.reduce(1 << np.arange(k, dtype=np.int64))
+    tbl = ring.reduce(np.outer(np.arange(ring.q, dtype=np.int64), g))
+    c = ring.reduce(key.R @ y[: key.mbar] + y[key.mbar :])
+    s_primary, e0 = invert(key, y)
+
+    def fits(e):
+        e = ring.centered(e).astype(float)
+        return math.sqrt(float((e * e).sum())) <= max_norm
+
+    if fits(e0):
+        return s_primary
+    owners, values, rows = [], [], []
+    per_block = [[] for _ in range(n)]
+    blocks = ring.centered(c).reshape(n, k)
+    for j in range(n):
+        d = ring.centered(blocks[j][None, :] - tbl)
+        for t in np.argsort((d * d).sum(axis=1), kind="stable")[:6]:
+            if t != s_primary[j]:
+                per_block[j].append(len(owners))
+                owners.append(j)
+                values.append(int(t))
+                rows.append((s_primary[j] - t) * key.A[:, j])
+    for i, row in enumerate(rows):
+        if fits(e0 + row):
+            s = s_primary.copy()
+            s[owners[i]] = values[i]
+            return s
+    if n > 8:
+        return None
+    for i in range(n):
+        for j in range(i + 1, n):
+            for ci in per_block[i]:
+                for cj in per_block[j]:
+                    if fits(e0 + rows[ci] + rows[cj]):
+                        s = s_primary.copy()
+                        s[i], s[j] = values[ci], values[cj]
+                        return s
+    return None
+
+
+@pytest.mark.parametrize("name,widths", [
+    ("desk-small", (1.0, 1.5, 2.0)),
+    ("desk-medium", (5.0, 6.0, 8.0)),
+    ("desk-protocol", (1.0, 1.5)),
+])
+def test_fallback_matches_loop_reference(name, widths):
+    # noise wide enough that the nearest-plane answer often misses, under
+    # bounds with and without slack, so repairs are found at every depth
+    # of the candidate order
+    from clawrand.clawfree import _sample_noise_bound
+    from clawrand.profiles import get_profile
+
+    prof = get_profile(name)
+    ring = prof.ring()
+    rng = np.random.default_rng(13)
+    bound = _sample_noise_bound(prof)
+    paths = {"single": 0, "pair": 0, "failure": 0}
+    for _ in range(2):
+        key = gen_trap(ring, prof.n, prof.m, rng)
+        for width in widths:
+            noise = TruncGaussian(ring, width)
+            for slack in (1.0, 1.3):
+                for _ in range(40):
+                    x = ring.uniform(rng, prof.n)
+                    e = ring.centered(noise.sample_vec(rng, prof.m))
+                    y = ring.reduce(ring.matmul(key.A, x) + e)
+                    max_norm = slack * max(bound, math.sqrt(float((e * e).sum()))) + 1e-9
+                    want = _fallback_reference(key, y, max_norm)
+                    if want is None:
+                        paths["failure"] += 1
+                        with pytest.raises(DecodeFailure):
+                            invert(key, y, max_norm=max_norm)
+                        continue
+                    s, _ = invert(key, y, max_norm=max_norm)
+                    assert np.array_equal(s, want)
+                    moved = int((want != invert(key, y)[0]).sum())
+                    if moved:
+                        paths[("single", "pair")[moved - 1]] += 1
+    assert paths["single"] and paths["failure"], paths
+    assert bool(paths["pair"]) == (prof.n <= 8), paths
