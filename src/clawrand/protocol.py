@@ -467,6 +467,8 @@ def single_round_test(
     """Fresh key per trial; image, then preimage or equation challenge with
     probability 1/2 each, graded by protocol 1's rule.  A trial whose sample
     is malformed scores 0 without the prover being asked for an answer."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     wins = 0
     eq = [0, 0]
     pre = [0, 0]

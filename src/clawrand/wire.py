@@ -12,6 +12,7 @@ side.
 
 from __future__ import annotations
 
+import json
 import logging
 import socket
 
@@ -40,6 +41,10 @@ class LineChannel:
 
     @classmethod
     def from_socket(cls, sock: socket.socket) -> "LineChannel":
+        # every frame waits for the peer's reply, so Nagle's algorithm
+        # would hold each one back for a delayed ACK
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return cls(sock.makefile("rb"), sock.makefile("wb"))
 
     def send(self, obj: dict):
@@ -56,12 +61,12 @@ class LineChannel:
             raise WireError(f"receive failed: {exc}") from exc
         if not line:
             raise WireError("connection closed")
-        import json
-
         try:
             obj = json.loads(line.decode("utf-8"))
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise WireError(f"bad message framing: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise WireError(f"bad message framing: expected an object, got {type(obj).__name__}")
         if expected_types and obj.get("type") not in expected_types:
             raise WireError(f"expected {expected_types}, got {obj.get('type')!r}")
         return obj
@@ -170,9 +175,11 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
     message."""
     chan.send({"type": "hello", "role": "prover", "prover": prover_kind})
     hello = chan.recv("hello")
-    profile = get_profile(hello["profile"]["name"])
-    mode = hello["mode"]
-    rounds = int(hello["rounds"])
+    profile = _parse("hello", lambda: get_profile(hello["profile"]["name"]))
+    mode = hello.get("mode")
+    if mode not in ("protocol1", "protocol2"):
+        raise WireError(f"verifier offers unknown mode {mode!r}")
+    rounds = _parse("hello", lambda: int(hello["rounds"]))
     catalog = simplified_provers() if mode == "protocol2" else prover_catalog()
     if prover_kind not in catalog:
         raise WireError(f"prover {prover_kind!r} cannot play {mode}")
@@ -185,13 +192,13 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
     rounds_done = 0
     while True:
         msg = chan.recv()
-        kind = msg["type"]
+        kind = msg.get("type")
         if kind == "key":
-            prover.new_key(public_key_from_json(msg, profile))
+            prover.new_key(_parse("key", lambda: public_key_from_json(msg, profile)))
             if rounds_done < rounds:
                 chan.send({"type": "sample", "y": [int(v) for v in prover.next_sample()]})
         elif kind == "challenge":
-            tag, a, b = prover.answer(int(msg["c"]))
+            tag, a, b = prover.answer(_parse("challenge", lambda: int(msg["c"])))
             if tag == "eq":
                 chan.send({"type": "answer_eq", "u": int(a), "d": [int(v) for v in b]})
             else:
@@ -209,14 +216,23 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
             raise WireError(f"unexpected message {kind!r}")
 
 
+def _parse(kind: str, decode):
+    """Run decode() on fields of a peer's frame; a missing or ill-typed
+    field is the peer's framing error."""
+    try:
+        return decode()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WireError(f"malformed {kind} frame: {exc}") from exc
+
+
 def _client_loop2(chan: LineChannel, prover) -> dict:
     while True:
         msg = chan.recv()
-        if msg["type"] == "final":
+        if msg.get("type") == "final":
             return msg
-        if msg["type"] != "challenge":
-            raise WireError(f"unexpected message {msg['type']!r}")
-        c, t = int(msg["c"]), int(msg["t"] or 0)
+        if msg.get("type") != "challenge":
+            raise WireError(f"unexpected message {msg.get('type')!r}")
+        c, t = _parse("challenge", lambda: (int(msg["c"]), int(msg["t"] or 0)))
         ans = prover.round2(c, t)
         if c == 0:
             e, k = ans

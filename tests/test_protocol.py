@@ -233,6 +233,13 @@ def test_single_round_malformed_sample_asks_no_answer():
     assert prover.answers == 0
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_single_round_rejects_no_trials(trials):
+    prover = RandomNoiseProver(substream(22, "prover"))
+    with pytest.raises(ValueError):
+        single_round_test(get_profile("micro"), prover, trials, substream(22, "verifier"))
+
+
 def test_protocol2_honest_device():
     prof = get_profile("micro", N=600, p_test=0.3)
     dev = honest_qubit_device()

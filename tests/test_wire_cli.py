@@ -262,6 +262,54 @@ def test_cli_serve_stdio_rejects_garbage_with_protocol_exit():
     assert r.returncode == 4
 
 
+_MICRO_HELLO = (
+    '{"type":"hello","role":"verifier","profile":{"name":"micro"},'
+    '"mode":"protocol1","rounds":1}'
+)
+
+
+@pytest.mark.parametrize("role,lines", [
+    ("connect", ["[1, 2]"]),
+    ("connect", ['{"type":"hello","role":"verifier","profile":{"name":"nope"},'
+                 '"mode":"protocol1","rounds":1}']),
+    ("connect", ['{"type":"hello","role":"verifier"}']),
+    ("connect", [_MICRO_HELLO, '{"type":"key","epoch":0}']),
+    ("connect", [_MICRO_HELLO, '{"type":"challenge"}']),
+    ("serve", ["[1, 2]"]),
+    ("serve", ['{"type":"hello","role":"prover","prover":"x"}', '"sample"']),
+])
+def test_cli_stdio_malformed_frames_exit_protocol(role, lines):
+    # a peer's frame that is not an object, or lacks the fields its type
+    # needs, ends the session as a protocol violation, never a traceback
+    argv = {
+        "connect": ["connect", "--prover", "classical-committed"],
+        "serve": ["serve", "--profile", "micro", "--rounds", "5"],
+    }[role]
+    r = subprocess.run(
+        [sys.executable, "-m", "clawrand.cli", *argv, "--transport", "stdio"],
+        input="".join(line + "\n" for line in lines),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 4, r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_tcp_sockets_disable_nagle(monkeypatch):
+    import socket as socketlib
+
+    flags = []
+    wrap = wire.LineChannel.from_socket.__func__
+
+    def spy(cls, sock):
+        chan = wrap(cls, sock)
+        flags.append(sock.getsockopt(socketlib.IPPROTO_TCP, socketlib.TCP_NODELAY))
+        return chan
+
+    monkeypatch.setattr(wire.LineChannel, "from_socket", classmethod(spy))
+    run_socket_pair(get_profile("micro"), "protocol1", "classical-committed", 3, 5)
+    assert len(flags) == 2 and all(flags), flags  # server and client side
+
+
 def test_cli_profiles_lists_full_scale():
     r = run_cli("profiles", "--name", "full-scale")
     assert r.returncode == 0
