@@ -184,8 +184,9 @@ def _fallback_search(key, data, c, e0, s_primary, max_norm):
     owner, rank = np.nonzero(ranked != s_primary[:, None])
     value = ranked[owner, rank]
     # (s_primary[j] - t) * A[:, j] mod q per candidate, built in place in
-    # int32 (q <= _ENUM_Q keeps q^2 in range): the temporaries then stay
-    # small, which matters more here than the arithmetic
+    # int32 (q <= _ENUM_Q keeps q^2 in range).  At desk-protocol size the
+    # array then stays under malloc's mmap threshold (128 KiB); above it,
+    # every call pays page faults that cost more than the arithmetic.
     delta = key.A.T.astype(np.int32)[owner]  # (n_cand, m)
     delta *= ((s_primary[owner] - value) % q).astype(np.int32)[:, None]
     delta %= q

@@ -190,13 +190,17 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
         raise WireError(f"prover {prover_kind!r} needs the trapdoor and cannot run remotely")
 
     rounds_done = 0
+    keyed = False
     while True:
         msg = chan.recv()
         kind = msg.get("type")
         if kind == "key":
             prover.new_key(_parse("key", lambda: public_key_from_json(msg, profile)))
+            keyed = True
             if rounds_done < rounds:
                 chan.send({"type": "sample", "y": [int(v) for v in prover.next_sample()]})
+        elif kind in ("challenge", "decision") and not keyed:
+            raise WireError(f"{kind} frame before any key")
         elif kind == "challenge":
             tag, a, b = prover.answer(_parse("challenge", lambda: int(msg["c"])))
             if tag == "eq":

@@ -275,6 +275,8 @@ _MICRO_HELLO = (
     ("connect", ['{"type":"hello","role":"verifier"}']),
     ("connect", [_MICRO_HELLO, '{"type":"key","epoch":0}']),
     ("connect", [_MICRO_HELLO, '{"type":"challenge"}']),
+    ("connect", [_MICRO_HELLO, '{"type":"challenge","c":1}']),
+    ("connect", [_MICRO_HELLO, '{"type":"decision","resample":true}']),
     ("serve", ["[1, 2]"]),
     ("serve", ['{"type":"hello","role":"prover","prover":"x"}', '"sample"']),
 ])
@@ -292,6 +294,15 @@ def test_cli_stdio_malformed_frames_exit_protocol(role, lines):
     )
     assert r.returncode == 4, r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("line", [b"[1, 2]\n", b'"hello"\n', b"null\n", b"\xff\n"])
+def test_recv_rejects_lines_that_are_not_objects(line):
+    import io
+
+    chan = wire.LineChannel(io.BytesIO(line), io.BytesIO())
+    with pytest.raises(wire.WireError):
+        chan.recv("hello")
 
 
 def test_tcp_sockets_disable_nagle(monkeypatch):
