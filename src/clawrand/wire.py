@@ -41,10 +41,6 @@ class LineChannel:
 
     @classmethod
     def from_socket(cls, sock: socket.socket) -> "LineChannel":
-        # every frame waits for the peer's reply, so Nagle's algorithm
-        # would hold each one back for a delayed ACK
-        if sock.family in (socket.AF_INET, socket.AF_INET6):
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return cls(sock.makefile("rb"), sock.makefile("wb"))
 
     def send(self, obj: dict):

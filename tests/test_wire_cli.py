@@ -305,22 +305,6 @@ def test_recv_rejects_lines_that_are_not_objects(line):
         chan.recv("hello")
 
 
-def test_tcp_sockets_disable_nagle(monkeypatch):
-    import socket as socketlib
-
-    flags = []
-    wrap = wire.LineChannel.from_socket.__func__
-
-    def spy(cls, sock):
-        chan = wrap(cls, sock)
-        flags.append(sock.getsockopt(socketlib.IPPROTO_TCP, socketlib.TCP_NODELAY))
-        return chan
-
-    monkeypatch.setattr(wire.LineChannel, "from_socket", classmethod(spy))
-    run_socket_pair(get_profile("micro"), "protocol1", "classical-committed", 3, 5)
-    assert len(flags) == 2 and all(flags), flags  # server and client side
-
-
 def test_cli_profiles_lists_full_scale():
     r = run_cli("profiles", "--name", "full-scale")
     assert r.returncode == 0
