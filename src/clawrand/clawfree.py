@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import TruncGaussian
-from .modq import ModRing, SizeGuardError, bit_encode, mat_from_json, mat_to_json, vec_from_json, vec_to_json
+from .modq import ModRing, SizeGuardError, bit_encode, mat_from_json, mat_to_json, residue_grid, vec_from_json, vec_to_json
 from .profiles import ParameterProfile
 from .trapdoor import (
     DecodeFailure,
@@ -97,7 +97,7 @@ def _min_claw_distance(ring: ModRing, A: np.ndarray) -> float:
     # smallest image distance between distinct points; only evaluated for
     # micro shapes where q^n is tiny
     n = A.shape[1]
-    grid = np.indices((ring.q,) * n).reshape(n, -1).T[1:]  # all nonzero deltas
+    grid = residue_grid(ring.q, n)[1:]  # all nonzero deltas
     img = ring.centered(ring.reduce(grid @ A.T)).astype(float)
     return float(np.sqrt((img * img).sum(axis=1)).min())
 
@@ -328,8 +328,7 @@ def moderate_check(ring: ModRing, C) -> bool:
     ell = C.shape[0]
     if ring.q**ell > _SPAN_GUARD:
         raise SizeGuardError(f"row-span enumeration q^ell = {ring.q ** ell} too large")
-    coeffs = np.indices((ring.q,) * ell).reshape(ell, -1).T  # (q^ell, ell)
-    span = ring.reduce(coeffs @ C)
+    span = ring.reduce(residue_grid(ring.q, ell) @ C)
     nonzero = span[np.any(span != 0, axis=1)]
     return nonzero.shape[0] > 0 and bool(is_moderate_vector(ring, nonzero).all())
 
@@ -437,8 +436,20 @@ def keypair_to_json(key: KeyPair) -> dict:
 
 
 def keypair_from_json(obj: dict, profile: ParameterProfile) -> KeyPair:
+    """Load a key pair, raising ValueError unless s is binary, e is within
+    the key-noise width B_V, u = A*s + e (mod q) and any trapdoor is for the
+    public A."""
     pub = public_key_from_json(obj["public"], profile)
     gadget = None if obj["trapdoor"] is None else trapdoor_from_json(obj["trapdoor"])
     s_bits = np.asarray(obj["s"], dtype=np.int64)
     e = np.asarray(obj["e"], dtype=np.int64)
+    if s_bits.shape != (profile.n,) or np.any((s_bits != 0) & (s_bits != 1)):
+        raise ValueError("secret is not a binary vector of length n")
+    if e.shape != (profile.m,) or np.any(np.abs(e) > profile.B_V):
+        raise ValueError("key noise is not a length-m vector within B_V")
+    ring = pub.ring
+    if not np.array_equal(pub.u, ring.reduce(ring.matmul(pub.A, s_bits) + e)):
+        raise ValueError("u is not A*s + e (mod q)")
+    if gadget is not None and not np.array_equal(gadget.A, pub.A):
+        raise ValueError("trapdoor is for a different A")
     return KeyPair(pub, gadget, s_bits, e)

@@ -278,8 +278,8 @@ def cmd_analyze(args) -> int:
 def cmd_extract(args) -> int:
     try:
         bits = hex_to_bits(Path(args.input).read_text())
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # unreadable, not text, or not hex
+        print(f"i/o error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
     n_in = args.n_in if args.n_in else bits.size
     if n_in > bits.size:

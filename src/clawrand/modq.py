@@ -71,6 +71,12 @@ class ModRing:
         return np.mod(np.mod(a @ lo, self.q) + (np.mod(a @ hi, self.q) << 16), self.q)
 
 
+def residue_grid(q: int, n: int) -> np.ndarray:
+    """(q^n, n) array of every vector in Z_q^n, first coordinate most
+    significant in the row index."""
+    return np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
+
+
 def bit_encode(ring: ModRing, x) -> np.ndarray:
     """Per-coordinate little-endian bit expansion of residues in [0, q).
 

@@ -212,6 +212,8 @@ def _request_sample(key: KeyPair, prover):
             raise MalformedAnswer(f"prover raised {type(exc).__name__}: {exc}") from exc
         if y.shape != (key.profile.m,):
             raise MalformedAnswer(f"sample shape {y.shape}")
+        if y.min() < 0 or y.max() >= key.profile.q:
+            raise MalformedAnswer("sample entries outside [0, q)")
         try:
             return y, claw_from_image(key, y), attempt
         except (DecodeFailure, SizeGuardError):

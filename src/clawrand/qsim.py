@@ -18,25 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clawfree import KeyPair, PublicKey, claw_equation_bit, claw_partner
-from .modq import ModRing, SizeGuardError, bit_encode
+from .gaussians import hellinger_sq
+from .modq import SizeGuardError, residue_grid
 
 _STATE_GUARD = 1_000_000
-
-
-def _index_grid(q: int, n: int) -> np.ndarray:
-    """(q^n, n) array of all residue vectors, first coordinate most
-    significant in the flat index."""
-    return np.indices((q,) * n).reshape(n, -1).T.astype(np.int64)
 
 
 @dataclass
 class PreparedState:
     pub: PublicKey
     amps: np.ndarray  # (2, q^n, q^m) real amplitudes
-
-    @property
-    def ring(self) -> ModRing:
-        return self.pub.ring
 
     def norm(self) -> float:
         return float(np.sqrt((self.amps**2).sum()))
@@ -56,20 +47,14 @@ def prepare_sampling_state(pub: PublicKey) -> PreparedState:
     dim = 2 * q ** (n + m)
     if dim > _STATE_GUARD:
         raise SizeGuardError(f"state dimension {dim} exceeds {_STATE_GUARD}")
-    ring = pub.ring
     dens = pub.noise_dist().density_table()  # per-coordinate, by residue
-    xs = _index_grid(q, n)
-    shifts = {b: ring.reduce(xs @ pub.A.T + b * pub.u[None, :]) for b in (0, 1)}
-    ycoord = np.arange(q)
-    amps = np.zeros((2, q**n, q**m))
-    for b in (0, 1):
-        for xi in range(q**n):
-            # product density over y via outer products, coordinate by coordinate
-            block = np.array([1.0])
-            for j in range(m):
-                col = dens[np.mod(ycoord - shifts[b][xi, j], q)]
-                block = np.multiply.outer(block, col).reshape(-1)
-            amps[b, xi] = block
+    shifts = pub.ring.reduce(residue_grid(q, n) @ pub.A.T + np.arange(2)[:, None, None] * pub.u)
+    # cols[b, x, j] is coordinate j's density over y_j; the product density
+    # over y is their outer product, taken coordinate by coordinate
+    cols = dens[(np.arange(q) - shifts[..., None]) % q]  # (2, q^n, m, q)
+    amps = cols[:, :, 0]
+    for j in range(1, m):
+        amps = (amps[..., :, None] * cols[:, :, j, None, :]).reshape(2, q**n, -1)
     amps = np.sqrt(amps / (2 * q**n))
     return PreparedState(pub, amps)
 
@@ -77,12 +62,11 @@ def prepare_sampling_state(pub: PublicKey) -> PreparedState:
 def measure_image(state: PreparedState, rng: np.random.Generator) -> CollapsedState:
     """Born-rule measurement of the image register."""
     prof = state.pub.profile
-    q, m = prof.q, prof.m
     probs = (state.amps**2).sum(axis=(0, 1))
     yi = int(rng.choice(probs.size, p=probs / probs.sum()))
     collapsed = state.amps[:, :, yi] / math.sqrt(probs[yi])
-    digits = [(yi // q** (m - 1 - j)) % q for j in range(m)]
-    return CollapsedState(state.pub, np.array(digits, dtype=np.int64), collapsed)
+    y = np.array(np.unravel_index(yi, (prof.q,) * prof.m), dtype=np.int64)
+    return CollapsedState(state.pub, y, collapsed)
 
 
 def measure_preimage(col: CollapsedState, rng: np.random.Generator) -> tuple[int, np.ndarray]:
@@ -90,9 +74,8 @@ def measure_preimage(col: CollapsedState, rng: np.random.Generator) -> tuple[int
     prof = col.pub.profile
     probs = (col.amps**2).reshape(-1)
     i = int(rng.choice(probs.size, p=probs / probs.sum()))
-    b, xi = divmod(i, prof.q**prof.n)
-    x = _index_grid(prof.q, prof.n)[xi]
-    return b, x
+    b, *x = np.unravel_index(i, (2,) + (prof.q,) * prof.n)
+    return int(b), np.array(x, dtype=np.int64)
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
@@ -113,21 +96,14 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 def measure_equation(col: CollapsedState, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Encode (b, x) into bits, Hadamard all w+1 of them, measure (u, d)."""
     prof = col.pub.profile
-    ring = col.pub.ring
-    q, n = prof.q, prof.n
-    w = prof.w
+    q, n, w = prof.q, prof.n, prof.w
     if 2 ** (w + 1) > _STATE_GUARD:
         raise SizeGuardError(f"bit register 2^{w + 1} exceeds {_STATE_GUARD}")
-    xs = _index_grid(q, n)
+    # bit_encode puts coordinate i at bits [i*k, (i+1)*k), so the register
+    # index of x is sum_i x_i * 2^(i*k)
+    jint = residue_grid(q, n) @ (1 << (col.pub.ring.coord_bits * np.arange(n, dtype=np.int64)))
     psi = np.zeros(2 ** (w + 1))
-    pow2 = 1 << np.arange(w, dtype=np.int64)
-    for b in (0, 1):
-        for xi in range(q**n):
-            a = col.amps[b, xi]
-            if a == 0.0:
-                continue
-            jint = int(bit_encode(ring, xs[xi]) @ pow2)
-            psi[(b << w) | jint] += a
+    psi[(np.arange(2)[:, None] << w) | jint] = col.amps
     out = _fwht(psi) / math.sqrt(psi.size)
     probs = out**2
     t = int(rng.choice(probs.size, p=probs / probs.sum()))
@@ -139,14 +115,16 @@ def measure_equation(col: CollapsedState, rng: np.random.Generator) -> tuple[int
 def equation_violation_bound(key: KeyPair) -> float:
     """Trace-distance bound on the equation-test failure rate induced by
     preparing from the public shift u instead of the exact secret shift
-    A*s: computed exactly from the two state vectors at micro scale."""
-    pub = key.public
-    ring = pub.ring
-    exact_shift = ring.reduce(ring.matmul(pub.A, key.s_bits))
-    ideal = prepare_sampling_state(PublicKey(pub.profile, pub.A, exact_shift))
-    actual = prepare_sampling_state(pub)
-    fid = float((ideal.amps * actual.amps).sum())
-    return math.sqrt(max(0.0, 1.0 - fid * fid))
+    A*s.
+
+    The two states agree on branch 0; on branch 1 every x shifts the
+    density by A*x + u in one and A*x + A*s in the other, which differ by
+    the key noise e, and the sum over y is translation invariant.  So the
+    fidelity is 1 - H^2/2 with H^2 = H^2(D_{B_P}, D_{B_P} + e), and the
+    bound sqrt(1 - fid^2) is sqrt(H^2 * (1 - H^2/4)).  Closed form, no
+    state vector, valid at every profile."""
+    h2 = hellinger_sq(key.public.noise_dist(), key.e)
+    return math.sqrt(h2 * (1.0 - h2 / 4.0))
 
 
 class SimulatedProver:

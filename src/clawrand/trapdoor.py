@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import TruncGaussian
-from .modq import ModRing, SizeGuardError, gadget_matrix, mat_from_json, mat_to_json
+from .modq import ModRing, SizeGuardError, gadget_matrix, mat_from_json, mat_to_json, residue_grid
 
 # Full codeword enumeration per block is used for the decode fallback only
 # when q is small enough to tabulate.
@@ -229,7 +229,7 @@ def exhaustive_invert(ring: ModRing, A: np.ndarray, y, max_norm: float):
     if ring.q**n > 1_000_000:
         raise SizeGuardError(f"exhaustive inversion infeasible: q^n = {ring.q ** n}")
     y = ring.reduce(np.asarray(y, dtype=np.int64))
-    grid = np.indices((ring.q,) * n).reshape(n, -1).T  # (q^n, n)
+    grid = residue_grid(ring.q, n)
     resid = ring.centered(y[None, :] - ring.reduce(grid @ A.T))
     norms2 = (resid.astype(float) ** 2).sum(axis=1)
     i = int(np.argmin(norms2))
@@ -237,7 +237,7 @@ def exhaustive_invert(ring: ModRing, A: np.ndarray, y, max_norm: float):
         raise DecodeFailure("no candidate within the noise bound")
     if int((norms2 == norms2[i]).sum()) > 1:
         raise DecodeFailure("ambiguous decode: tied minimal residuals")
-    return grid[i].astype(np.int64), resid[i]
+    return grid[i], resid[i]
 
 
 def measure_decode_radius(

@@ -31,7 +31,7 @@ from clawrand.clawfree import (
     secret_mask,
 )
 from clawrand.gaussians import shifted_hellinger_bound
-from clawrand.modq import ModRing
+from clawrand.modq import ModRing, vec_to_json
 from clawrand.profiles import get_profile
 from clawrand.rngstream import substream
 from clawrand.trapdoor import DecodeFailure
@@ -488,3 +488,39 @@ def test_serialization_roundtrip(desk_key):
     assert np.array_equal(key2.e, desk_key.e)
     # the restored trapdoor still inverts
     assert np.array_equal(inv(key2, 0, desk_key.public.u), key2.ring.reduce(key2.s_bits))
+
+
+def _tamper_s(obj, key):
+    # a non-binary secret with u made consistent, so only the binary check fails
+    s = key.s_bits.copy()
+    s[0] = 2
+    obj["s"] = [int(v) for v in s]
+    obj["public"]["u"] = vec_to_json(key.ring, key.ring.matmul(key.public.A, s) + key.e)
+
+
+def _tamper_e(obj, key):
+    e = key.e.copy()
+    e[0] = int(key.profile.B_V) + 1
+    obj["e"] = [int(v) for v in e]
+    obj["public"]["u"] = vec_to_json(key.ring, key.ring.matmul(key.public.A, key.s_bits) + e)
+
+
+def _tamper_u(obj, key):
+    obj["public"]["u"] = vec_to_json(key.ring, key.public.u + 1)
+
+
+def _tamper_trapdoor(obj, key):
+    other = gen(key.profile, substream(101, "other-desk-key"))
+    obj["trapdoor"] = keypair_to_json(other)["trapdoor"]
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [(_tamper_s, "binary"), (_tamper_e, "B_V"), (_tamper_u, "A\\*s \\+ e"), (_tamper_trapdoor, "different A")],
+    ids=["s", "e", "u", "trapdoor"],
+)
+def test_keypair_from_json_rejects_tampered_field(desk_key, tamper, message):
+    obj = keypair_to_json(desk_key)
+    tamper(obj, desk_key)
+    with pytest.raises(ValueError, match=message):
+        keypair_from_json(obj, desk_key.profile)

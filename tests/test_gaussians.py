@@ -12,7 +12,7 @@ from clawrand.gaussians import (
     shifted_tv_bound,
     tv_distance,
 )
-from clawrand.modq import ModRing, SizeGuardError
+from clawrand.modq import ModRing
 
 
 def dist(q, B):
@@ -134,9 +134,25 @@ def test_hellinger_matches_factorized_oracle():
         )
 
 
-def test_hellinger_guard():
-    with pytest.raises(SizeGuardError):
-        hellinger_sq(dist(61, 2.0), [1] * 5)  # 61^5 > 1e7
+def test_hellinger_matches_enumerated_sum():
+    # the sum over all of Z_q^m that the closed form factorises
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        q = int(rng.choice([5, 7, 11, 13]))
+        m = int(rng.integers(1, 4))
+        B = float(rng.uniform(1.0, (q - 1) / 2))
+        e = rng.integers(0, q, size=m)
+        d = dist(q, B)
+        f = enumerate_product_density(d, m)
+        shifted = np.roll(f.reshape((q,) * m), tuple(e), axis=tuple(range(m))).reshape(-1)
+        assert hellinger_sq(d, e) == pytest.approx(1.0 - np.sqrt(f * shifted).sum(), abs=1e-12)
+
+
+def test_hellinger_has_no_domain_guard():
+    # 61^5 > 1e7 is past enumerate_product_density's guard
+    assert hellinger_sq(dist(61, 2.0), [1] * 5) == pytest.approx(
+        brute_hellinger(61, 2.0, [1] * 5), abs=1e-12
+    )
 
 
 def test_tv_examples():

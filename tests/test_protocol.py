@@ -216,18 +216,23 @@ def test_protocol1_rejects_run_without_test_rounds(p_test, rounds):
     assert any("degenerate" in n for n in tr.notes)
 
 
-def test_single_round_malformed_sample_asks_no_answer():
-    class ShortSamples(CommittedPreimageProver):
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda y, q: y[:-1], lambda y, q: y + q, lambda y, q: y - q * ((1 << 63) // q)],
+    ids=["short", "plus-q", "negative"],
+)
+def test_single_round_malformed_sample_asks_no_answer(spoil):
+    class BadSamples(CommittedPreimageProver):
         answers = 0
 
         def next_sample(self):
-            return super().next_sample()[:-1]
+            return spoil(super().next_sample(), self.pub.profile.q)
 
         def answer(self, c, t=None):
             self.answers += 1
             return super().answer(c, t)
 
-    prover = ShortSamples(substream(21, "prover"))
+    prover = BadSamples(substream(21, "prover"))
     rep = single_round_test(get_profile("micro"), prover, 30, substream(21, "verifier"))
     assert rep.successes == 0
     assert prover.answers == 0

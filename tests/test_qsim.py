@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from clawrand.clawfree import claw_equation_bit, claw_from_image, density_public, gen, inv
-from clawrand.modq import SizeGuardError
+from clawrand.clawfree import PublicKey, claw_equation_bit, claw_from_image, density_public, gen, inv
+from clawrand.modq import SizeGuardError, bit_encode, residue_grid
 from clawrand.profiles import get_profile
 from clawrand.qsim import (
     IdealProver,
     SimulatedProver,
+    _fwht,
     equation_violation_bound,
     measure_equation,
     measure_image,
     measure_preimage,
     prepare_sampling_state,
-    _index_grid,
 )
 from clawrand.rngstream import substream
 
@@ -35,8 +35,8 @@ def test_prepared_norm_and_born_rule(micro_key, micro_state):
     assert st.norm() == pytest.approx(1.0, abs=1e-10)
     prof = micro_key.profile
     q, n, m = prof.q, prof.n, prof.m
-    xs = _index_grid(q, n)
-    ys = _index_grid(q, m)
+    xs = residue_grid(q, n)
+    ys = residue_grid(q, m)
     for b in (0, 1):
         for xi in range(q**n):
             for yi in range(0, q**m, 7):
@@ -48,8 +48,8 @@ def test_image_marginal_matches_density_sum(micro_key, micro_state):
     prof = micro_key.profile
     q, n, m = prof.q, prof.n, prof.m
     marg = (micro_state.amps**2).sum(axis=(0, 1))
-    xs = _index_grid(q, n)
-    ys = _index_grid(q, m)
+    xs = residue_grid(q, n)
+    ys = residue_grid(q, m)
     for yi in range(q**m):
         want = sum(
             density_public(micro_key.public, b, x, ys[yi]) for b in (0, 1) for x in xs
@@ -80,7 +80,7 @@ def test_collapse_is_exact_claw(micro_key, micro_state):
         col = measure_image(micro_state, rng)
         x0, x1 = claw_from_image(micro_key, col.y)
         support = {(b, xi) for b, xi in zip(*np.nonzero(np.abs(col.amps) > 1e-12))}
-        xs = _index_grid(micro_key.profile.q, micro_key.profile.n)
+        xs = residue_grid(micro_key.profile.q, micro_key.profile.n)
         want = {(0, _rank(xs, x0)), (1, _rank(xs, x1))}
         assert support == want
         vals = [col.amps[b, xi] for b, xi in sorted(support)]
@@ -99,7 +99,7 @@ def test_never_samples_outside_support(micro_key, micro_state):
         total = sum(
             density_public(micro_key.public, b, x, col.y)
             for b in (0, 1)
-            for x in _index_grid(micro_key.profile.q, micro_key.profile.n)
+            for x in residue_grid(micro_key.profile.q, micro_key.profile.n)
         )
         assert total > 0
 
@@ -133,9 +133,6 @@ def test_single_preimage_branch_hadamard_algebra(micro_key):
     # a lone branch |b>|J(x)> Hadamards to the full uniform superposition
     # with sign (-1)^(u*b + d.J(x)); direct state computation, since the
     # outcome distribution alone carries no u-d correlation
-    from clawrand.modq import bit_encode
-    from clawrand.qsim import _fwht
-
     prof = micro_key.profile
     state = prepare_sampling_state(micro_key.public)
     rng = substream(5, "single")
@@ -144,7 +141,7 @@ def test_single_preimage_branch_hadamard_algebra(micro_key):
     col.amps /= np.sqrt((col.amps**2).sum())
     keep = np.flatnonzero(np.abs(col.amps[0]) > 1e-12)
     assert keep.size == 1
-    x = _index_grid(prof.q, prof.n)[keep[0]]
+    x = residue_grid(prof.q, prof.n)[keep[0]]
     jbits = bit_encode(micro_key.ring, x)
     w = prof.w
     psi = np.zeros(2 ** (w + 1))
@@ -201,7 +198,7 @@ def test_micro3_gadget_profile_end_to_end():
         u, d = measure_equation(col, rng)
         x0, x1 = claw_from_image(key, col.y)
         assert u == claw_equation_bit(key.ring, x0, x1, d)
-    ys = _index_grid(3, 3)
+    ys = residue_grid(3, 3)
     for b in (0, 1):
         for x in range(3):
             for y in ys:
@@ -210,6 +207,88 @@ def test_micro3_gadget_profile_end_to_end():
                 assert chk(key.public, b, [x], y) == int(
                     density_public(key.public, b, [x], y) > 0
                 )
+
+
+def _prepare_reference(pub):
+    # reference: one (b, x) at a time, outer products coordinate by coordinate
+    prof = pub.profile
+    q, n, m = prof.q, prof.n, prof.m
+    dens = pub.noise_dist().density_table()
+    xs = residue_grid(q, n)
+    amps = np.zeros((2, q**n, q**m))
+    for b in (0, 1):
+        shifts = pub.ring.reduce(xs @ pub.A.T + b * pub.u[None, :])
+        for xi in range(q**n):
+            block = np.array([1.0])
+            for j in range(m):
+                col = dens[np.mod(np.arange(q) - shifts[xi, j], q)]
+                block = np.multiply.outer(block, col).reshape(-1)
+            amps[b, xi] = block
+    return np.sqrt(amps / (2 * q**n))
+
+
+def _measure_equation_reference(col, rng):
+    # reference: the bit register filled one x at a time through bit_encode
+    prof = col.pub.profile
+    w = prof.w
+    psi = np.zeros(2 ** (w + 1))
+    pow2 = 1 << np.arange(w, dtype=np.int64)
+    for b in (0, 1):
+        for xi, x in enumerate(residue_grid(prof.q, prof.n)):
+            if col.amps[b, xi] != 0.0:
+                psi[(b << w) | int(bit_encode(col.pub.ring, x) @ pow2)] += col.amps[b, xi]
+    probs = (_fwht(psi) / math.sqrt(psi.size)) ** 2
+    t = int(rng.choice(probs.size, p=probs / probs.sum()))
+    return t >> w, (t & ((1 << w) - 1)) >> np.arange(w, dtype=np.int64) & 1
+
+
+def _violation_reference(key):
+    # fidelity of the two full state vectors, from A*s and from u
+    pub = key.public
+    exact = PublicKey(pub.profile, pub.A, pub.ring.matmul(pub.A, key.s_bits))
+    fid = float((_prepare_reference(exact) * _prepare_reference(pub)).sum())
+    return math.sqrt(max(0.0, 1.0 - fid * fid))
+
+
+@pytest.mark.parametrize(
+    "name, overrides", [("micro", {}), ("micro3", {}), ("micro-noisy", {}), ("micro", {"n": 2, "m": 4})],
+    ids=["micro", "micro3", "micro-noisy", "micro-n2"],
+)
+def test_prepare_and_measure_match_loop_references(name, overrides):
+    # micro-n2 is the only shape here with n > 1, where the order of the x
+    # grid and of the bit register index matters
+    prof = get_profile(name, **overrides)
+    rng = substream(15, "loop-ref", name, prof.n)
+    for _ in range(5):
+        key = gen(prof, rng)
+        state = prepare_sampling_state(key.public)
+        assert np.array_equal(state.amps, _prepare_reference(key.public))
+        for shot in range(20):
+            col = measure_image(state, rng)
+            u, d = measure_equation(col, substream(16, name, shot))
+            u_ref, d_ref = _measure_equation_reference(col, substream(16, name, shot))
+            assert u == u_ref and np.array_equal(d, d_ref)
+            b, x = measure_preimage(col, rng)
+            assert np.array_equal(inv(key, b, col.y), x)
+
+
+def test_violation_bound_matches_two_state_reference():
+    noisy = exact = 0
+    for name in ("micro", "micro3", "micro-noisy"):
+        rng = substream(17, "bound-ref", name)
+        for _ in range(60):
+            key = gen(get_profile(name), rng)
+            bound = equation_violation_bound(key)
+            if key.e.any():
+                noisy += 1
+                assert bound == pytest.approx(_violation_reference(key), rel=1e-12)
+            else:
+                exact += 1
+                assert bound == 0.0
+    assert noisy > 0 and exact > 0
+    # no state vector is built, so the bound exists beyond the state guard
+    key = gen(get_profile("desk-small"), substream(17, "bound-desk"))
+    assert 0.0 <= equation_violation_bound(key) <= 1.0
 
 
 def test_state_guard():

@@ -216,6 +216,9 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("keygen", "--profile", "full-scale", "--public-out", "x").returncode == 2
     assert run_cli("extract", "--input", str(tmp_path / "missing.hex"),
                    "--output", str(tmp_path / "o.hex")).returncode == 3
+    (tmp_path / "bad.hex").write_text("zz not hex\n")
+    r = run_cli("extract", "--input", str(tmp_path / "bad.hex"), "--output", str(tmp_path / "o.hex"))
+    assert r.returncode == 3 and r.stderr.startswith("i/o error:") and "Traceback" not in r.stderr
     r = run_cli("run", "--mode", "protocol1", "--prover", "qsim-micro",
                 "--profile", "desk-small", "--rounds", "5", "--seed", "1")
     assert r.returncode == 5  # state-vector guard at desk scale
