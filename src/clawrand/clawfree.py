@@ -98,7 +98,7 @@ def _min_claw_distance(ring: ModRing, A: np.ndarray) -> float:
     # micro shapes where q^n is tiny
     n = A.shape[1]
     grid = residue_grid(ring.q, n)[1:]  # all nonzero deltas
-    img = ring.centered(ring.reduce(grid @ A.T)).astype(float)
+    img = ring.centered(grid @ A.T).astype(float)
     return float(np.sqrt((img * img).sum(axis=1)).min())
 
 
@@ -126,7 +126,7 @@ def gen(profile: ParameterProfile, rng: np.random.Generator, max_retries: int = 
             s0, e0 = invert_sample(key, u)
         except DecodeFailure:
             continue
-        if np.array_equal(s0, ring.reduce(s_bits)) and np.array_equal(e0, e):
+        if np.array_equal(s0, s_bits) and np.array_equal(e0, e):
             return key
     raise KeyGenFailure(f"no invertible key in {max_retries} draws for {profile.name}")
 
@@ -137,17 +137,15 @@ def gen(profile: ParameterProfile, rng: np.random.Generator, max_retries: int = 
 def density_secret(key: KeyPair, b: int, x, y) -> float:
     """Branch density with the exact secret shift b * A*s (verifier-side;
     exposed for oracles, never sent to provers)."""
-    ring = key.ring
-    shift = ring.reduce(ring.matmul(key.public.A, x) + b * ring.matmul(key.public.A, key.s_bits))
-    return key.public.noise_dist().density_vec(ring.reduce(np.asarray(y) - shift))
+    shift = key.ring.matmul(key.public.A, x) + b * key.ring.matmul(key.public.A, key.s_bits)
+    return key.public.noise_dist().density_vec(np.asarray(y) - shift)
 
 
 def density_public(pub: PublicKey, b: int, x, y) -> float:
     """Branch density with the public shift b * u; equals density_secret on
     branch 0 and is the density the sampling procedure actually prepares."""
-    ring = pub.ring
-    shift = ring.reduce(ring.matmul(pub.A, x) + b * np.asarray(pub.u))
-    return pub.noise_dist().density_vec(ring.reduce(np.asarray(y) - shift))
+    shift = pub.ring.matmul(pub.A, x) + b * np.asarray(pub.u)
+    return pub.noise_dist().density_vec(np.asarray(y) - shift)
 
 
 def chk(pub: PublicKey, b: int, x, y) -> int:
@@ -177,8 +175,7 @@ def claw_partner(key: KeyPair, b: int, x) -> np.ndarray:
 def claw_from_image(key: KeyPair, y) -> tuple[np.ndarray, np.ndarray]:
     """(x0, x1) for an image y, via one trapdoor decode."""
     s0, _ = invert_sample(key, y)
-    ring = key.ring
-    return ring.reduce(s0), ring.reduce(s0 - key.s_bits)
+    return s0, key.ring.reduce(s0 - key.s_bits)
 
 
 # -- the equation side -------------------------------------------------------
@@ -197,7 +194,7 @@ def secret_mask(ring: ModRing, b: int, x, d) -> np.ndarray:
     Coordinate i is the parity of block i of d against block i of
     J(x) xor J(x - (-1)^b * 1).
     """
-    x = ring.reduce(np.atleast_1d(x))
+    x = np.atleast_1d(x)
     d = np.asarray(d, dtype=np.int64)
     k = ring.coord_bits
     if d.shape != (x.size * k,):
@@ -324,7 +321,7 @@ def moderate_check(ring: ModRing, C) -> bool:
 
     The zero matrix spans nothing nonzero and is reported not moderate.
     Enumeration is guarded at q^ell combinations."""
-    C = ring.reduce(np.atleast_2d(C))
+    C = np.atleast_2d(C)
     ell = C.shape[0]
     if ring.q**ell > _SPAN_GUARD:
         raise SizeGuardError(f"row-span enumeration q^ell = {ring.q ** ell} too large")
@@ -341,7 +338,7 @@ def _parity_counts(ring: ModRing, C, dhats) -> np.ndarray:
     its column or not), which evaluates the same sum as enumerating all 2^n
     secrets.  The per-coordinate ring shift is shared by the batch, only
     the parity toggle differs per mask."""
-    C = ring.reduce(np.atleast_2d(C))
+    C = np.atleast_2d(C)
     dhats = np.asarray(dhats, dtype=np.int64)
     ell, n = C.shape
     if dhats.ndim != 2 or dhats.shape[1] != n:

@@ -78,6 +78,13 @@ def _profile_from_args(args):
         raise ConfigError(str(exc)) from None
 
 
+def _ring(profile) -> ModRing:
+    """The profile's ring; a print-only profile cannot be run."""
+    if not profile.runnable:
+        raise ConfigError(f"profile {profile.name!r} is print-only; see `profiles`")
+    return profile.ring()
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -98,8 +105,7 @@ def _emit(obj, path: str | None):
 
 def cmd_keygen(args) -> int:
     profile = _profile_from_args(args)
-    if not profile.runnable:
-        raise ConfigError(f"profile {profile.name!r} is print-only; see `profiles`")
+    _ring(profile)
     key = gen(profile, substream(args.seed, "keygen"))
     Path(args.public_out).write_text(canonical_json(public_key_to_json(key.public)) + "\n")
     if args.secret_out:
@@ -117,8 +123,7 @@ def _build_prover(mode: str, kind: str, seed: int):
 
 def cmd_run(args) -> int:
     profile = _profile_from_args(args)
-    if not profile.runnable:
-        raise ConfigError(f"profile {profile.name!r} is print-only")
+    _ring(profile)
     if profile.violated():
         print(f"# profile {profile.name!r} violates: {', '.join(profile.violated())}", file=sys.stderr)
     rng = substream(args.seed, "verifier", args.mode)
@@ -148,7 +153,7 @@ def cmd_run(args) -> int:
 
 
 def _analyze_moderate(profile, rng) -> dict:
-    ring = ModRing(profile.q)
+    ring = _ring(profile)
     samples = 2000
     mod = 0
     worst_tv = 0.0
@@ -169,8 +174,9 @@ def _analyze_moderate(profile, rng) -> dict:
 
 
 def _analyze_hardcore(profile, rng) -> dict:
+    ring = _ring(profile)
+
     def guesser(A, u, rr):
-        ring = ModRing(profile.q)
         return (
             int(rr.integers(0, 2)),
             ring.uniform(rr, profile.n),
@@ -246,6 +252,7 @@ def _analyze_rate(profile) -> dict:
 def _analyze_radius(profile, rng) -> dict:
     if not profile.uses_gadget:
         return {"note": "profile inverts exhaustively; no gadget radius"}
+    _ring(profile)
     key = gen(profile, rng)
     radius = measure_decode_radius(key.gadget, rng, trials=50)
     return {
@@ -306,6 +313,7 @@ def cmd_extract(args) -> int:
 
 def cmd_serve(args) -> int:
     profile = _profile_from_args(args)
+    _ring(profile)  # refuse before listening or sending a frame
     if args.transport == "stdio":
         chan = wire.LineChannel(sys.stdin.buffer, sys.stdout.buffer)
         tr = wire.serve_session(chan, profile, args.mode, args.seed, n_rounds=args.rounds)

@@ -1,16 +1,18 @@
 """Exact arithmetic over Z_q: centered representatives, norms, bit maps,
 and the powers-of-two gadget matrix.
 
-Residues are stored canonically in [0, q) as int64 numpy arrays.  The
-centered representative of x, the unique integer in (-q/2, q/2] congruent
-to x, is taken only at norm/decoding boundaries.  All operations are pure;
-values are never mutated in place.
+Every residue array is int64 in [0, q).  It is reduced only where
+arithmetic leaves that range (sums, products, ``centered``) and checked
+where it enters from outside (``mat_from_json``, ``keypair_from_json``,
+the protocol's sample and answer checks); nothing re-reduces it.  The
+centered representative of x, the unique integer in (-q/2, q/2]
+congruent to x, is taken only at norm/decoding boundaries.  All
+operations are pure; values are never mutated in place.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +20,13 @@ import numpy as np
 # A dot product of residues must not overflow int64.  For q above this
 # threshold matmul splits one factor into 16-bit digits.
 _DIRECT_MATMUL_Q = 1 << 20
-_MAX_Q = 1 << 31
+# the largest modulus ModRing accepts; profiles above it are print-only
+MAX_Q = 1 << 31
+
+
+def coord_bits(q: int) -> int:
+    """Bits per coordinate in the binary encoding of Z_q: ceil(log2 q)."""
+    return max(1, (q - 1).bit_length())
 
 
 class SizeGuardError(Exception):
@@ -32,13 +40,12 @@ class ModRing:
     q: int
 
     def __post_init__(self):
-        if not (2 <= self.q <= _MAX_Q):
+        if not (2 <= self.q <= MAX_Q):
             raise ValueError(f"modulus must be in [2, 2^31], got {self.q}")
 
     @property
     def coord_bits(self) -> int:
-        """Bits per coordinate in the binary encoding: ceil(log2 q)."""
-        return max(1, int(math.ceil(math.log2(self.q))))
+        return coord_bits(self.q)
 
     def reduce(self, a) -> np.ndarray:
         return np.mod(np.asarray(a, dtype=np.int64), self.q)
@@ -60,12 +67,12 @@ class ModRing:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
 
     def matmul(self, a, b) -> np.ndarray:
-        """a @ b reduced mod q, exact for any q <= 2^31."""
-        a = self.reduce(a)
-        b = self.reduce(b)
+        """a @ b mod q, exact for q <= 2^31 if a is canonical and |b| < q."""
         if self.q <= _DIRECT_MATMUL_Q:
             return np.mod(a @ b, self.q)
         # split b into 16-bit digits so partial products stay below 2^47
+        # (the shift is arithmetic, so signed b splits exactly too)
+        b = np.asarray(b, dtype=np.int64)
         lo = b & 0xFFFF
         hi = b >> 16
         return np.mod(np.mod(a @ lo, self.q) + (np.mod(a @ hi, self.q) << 16), self.q)
@@ -83,7 +90,7 @@ def bit_encode(ring: ModRing, x) -> np.ndarray:
     Coordinate i of x occupies bits [i*k, (i+1)*k) of the output, with
     k = ceil(log2 q).  Injective on Z_q^n.
     """
-    x = ring.reduce(np.atleast_1d(x))
+    x = np.atleast_1d(x)
     k = ring.coord_bits
     shifts = np.arange(k, dtype=np.int64)
     return ((x[:, None] >> shifts) & 1).reshape(-1)
@@ -106,7 +113,7 @@ def bit_decode(ring: ModRing, bits) -> np.ndarray:
 def gadget_matrix(ring: ModRing, n: int) -> np.ndarray:
     """Block-diagonal (n*k, n) matrix with per-coordinate columns (1,2,4,...)."""
     k = ring.coord_bits
-    g = ring.reduce(1 << np.arange(k, dtype=np.int64))
+    g = 1 << np.arange(k, dtype=np.int64)  # 2^(k-1) < q
     G = np.zeros((n * k, n), dtype=np.int64)
     for i in range(n):
         G[i * k : (i + 1) * k, i] = g
@@ -114,7 +121,7 @@ def gadget_matrix(ring: ModRing, n: int) -> np.ndarray:
 
 
 def mat_to_json(ring: ModRing, m) -> dict:
-    m = ring.reduce(np.atleast_2d(m))
+    m = np.atleast_2d(m)
     return {
         "q": ring.q,
         "rows": int(m.shape[0]),
@@ -124,8 +131,7 @@ def mat_to_json(ring: ModRing, m) -> dict:
 
 
 def vec_to_json(ring: ModRing, v) -> dict:
-    v = ring.reduce(np.atleast_1d(v))
-    return mat_to_json(ring, v[:, None])
+    return mat_to_json(ring, np.atleast_1d(v)[:, None])
 
 
 def mat_from_json(obj: dict) -> tuple[ModRing, np.ndarray]:

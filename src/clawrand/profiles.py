@@ -20,9 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .gaussians import TruncGaussian
-from .modq import ModRing
-
-_MAX_RUNNABLE_Q = 1 << 31
+from .modq import MAX_Q, ModRing, coord_bits
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,7 @@ class ParameterProfile:
 
     @property
     def coord_bits(self) -> int:
-        return max(1, int(math.ceil(math.log2(self.q))))
+        return coord_bits(self.q)
 
     @property
     def w(self) -> int:
@@ -60,7 +58,7 @@ class ParameterProfile:
 
     @property
     def runnable(self) -> bool:
-        return self.q <= _MAX_RUNNABLE_Q
+        return self.q <= MAX_Q
 
     def ring(self) -> ModRing:
         if not self.runnable:

@@ -93,7 +93,6 @@ class Transcript:
     test_passes: int = 0
     test_count: int = 0
     output_bits: list[int] = field(default_factory=list)
-    gen_outputs: list[int] = field(default_factory=list)  # with 2 for invalid rounds
     budget: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
@@ -352,15 +351,13 @@ def run_protocol1(
 
 def _finalize_protocol1(tr: Transcript, profile: ParameterProfile):
     tests = [r for r in tr.records if r.round_type == "test"]
-    gens = [r for r in tr.records if r.round_type == "gen"]
     tr.test_count = len(tests)
     tr.test_passes = sum(r.w for r in tests)
     tr.threshold = (1 - profile.gamma) * profile.p_test * tr.n_rounds
     tr.accepted = protocol1_verdict(tr.records, profile, tr.n_rounds)
     if not tests:
         tr.notes.append("no test rounds occurred; rejecting degenerate run")
-    tr.gen_outputs = [r.o for r in gens]
-    tr.output_bits = [r.o for r in gens if r.w == 1]
+    tr.output_bits = [r.o for r in tr.records if r.round_type == "gen" and r.w == 1]
 
 
 def protocol1_verdict(records: list[RoundRecord], profile: ParameterProfile, n_rounds: int) -> bool:
@@ -442,9 +439,7 @@ def run_protocol2(
         tr.notes.append("no probed test rounds occurred; rejecting degenerate run")
     else:
         tr.accepted = tr.test_passes >= tr.threshold - 1e-9
-    gens = [r for r in tr.records if r.round_type == "gen"]
-    tr.gen_outputs = [r.o for r in gens]
-    tr.output_bits = [r.o for r in gens if r.o in (0, 1)]
+    tr.output_bits = [r.o for r in tr.records if r.round_type == "gen" and r.o in (0, 1)]
     tr.budget = budget.as_dict(len(tr.output_bits))
     return tr
 

@@ -117,7 +117,7 @@ def _decode_data(ring: ModRing) -> dict:
         Q[:, j] = v
     data = {"k": k, "D": D, "Q": Q, "Qnorm2": (Q * Q).sum(axis=0)}
     if q <= _ENUM_Q:
-        g = ring.reduce(1 << np.arange(k, dtype=np.int64))
+        g = gadget_matrix(ring, 1)[:, 0]
         data["codebook"] = ring.reduce(np.outer(np.arange(q, dtype=np.int64), g))
         # squared centered residue of r mod q, for 0 <= r < 3q
         data["sq"] = (ring.centered(np.arange(3 * q, dtype=np.int64)) ** 2).astype(np.int32)
@@ -147,7 +147,7 @@ def invert(key: TrapdoorKey, y, max_norm: float | None = None):
     answer is returned unchecked.
     """
     ring = key.ring
-    y = ring.reduce(np.asarray(y, dtype=np.int64))
+    y = np.asarray(y, dtype=np.int64)
     if y.shape != (key.m,):
         raise ValueError(f"sample must have shape ({key.m},)")
     data = _decode_data(ring)
@@ -228,9 +228,8 @@ def exhaustive_invert(ring: ModRing, A: np.ndarray, y, max_norm: float):
     n = A.shape[1]
     if ring.q**n > 1_000_000:
         raise SizeGuardError(f"exhaustive inversion infeasible: q^n = {ring.q ** n}")
-    y = ring.reduce(np.asarray(y, dtype=np.int64))
     grid = residue_grid(ring.q, n)
-    resid = ring.centered(y[None, :] - ring.reduce(grid @ A.T))
+    resid = ring.centered(np.asarray(y)[None, :] - grid @ A.T)
     norms2 = (resid.astype(float) ** 2).sum(axis=1)
     i = int(np.argmin(norms2))
     if math.sqrt(norms2[i]) > max_norm:

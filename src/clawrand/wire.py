@@ -26,6 +26,10 @@ from .rngstream import substream
 
 log = logging.getLogger("clawrand.wire")
 
+# Longest frame accepted, newline included; the largest legitimate one, a
+# desk-protocol key, is ~12 KB.
+MAX_LINE_BYTES = 1 << 20
+
 
 class WireError(SessionAbort):
     """Transport or framing failure: aborts the session instead of being
@@ -52,11 +56,13 @@ class LineChannel:
 
     def recv(self, *expected_types: str) -> dict:
         try:
-            line = self.reader.readline()
+            line = self.reader.readline(MAX_LINE_BYTES + 1)
         except OSError as exc:
             raise WireError(f"receive failed: {exc}") from exc
         if not line:
             raise WireError("connection closed")
+        if len(line) > MAX_LINE_BYTES:
+            raise WireError(f"frame longer than {MAX_LINE_BYTES} bytes")
         try:
             obj = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -1,7 +1,8 @@
 """Smoke test of the benchmark harness: one short traced wire-micro run.
 
-It checks the result's schema and correctness gate, and that the layers
-the tracer patches were reached; it asserts no timings."""
+It checks the result's schema and correctness gate, that the layers the
+tracer patches were reached, and the modq reduction count; it asserts no
+timings."""
 
 import json
 import subprocess
@@ -25,3 +26,6 @@ def test_bench_wire_micro_traced_run():
     # a renamed or bypassed traced function reads 0 here
     assert metrics["qsim.prepare.calls_per_op"]["value"] > 0
     assert metrics["trapdoor.exhaustive_invert.calls_per_op"]["value"] > 0
+    # a call count, not a timing: residues are canonical by construction and
+    # reduced only where arithmetic leaves [0, q), ~3.6 times a round here
+    assert metrics["modq.reduce.calls_per_op"]["value"] < 6

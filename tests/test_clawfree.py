@@ -495,18 +495,18 @@ def _tamper_s(obj, key):
     s = key.s_bits.copy()
     s[0] = 2
     obj["s"] = [int(v) for v in s]
-    obj["public"]["u"] = vec_to_json(key.ring, key.ring.matmul(key.public.A, s) + key.e)
+    obj["public"]["u"] = vec_to_json(key.ring, key.ring.reduce(key.ring.matmul(key.public.A, s) + key.e))
 
 
 def _tamper_e(obj, key):
     e = key.e.copy()
     e[0] = int(key.profile.B_V) + 1
     obj["e"] = [int(v) for v in e]
-    obj["public"]["u"] = vec_to_json(key.ring, key.ring.matmul(key.public.A, key.s_bits) + e)
+    obj["public"]["u"] = vec_to_json(key.ring, key.ring.reduce(key.ring.matmul(key.public.A, key.s_bits) + e))
 
 
 def _tamper_u(obj, key):
-    obj["public"]["u"] = vec_to_json(key.ring, key.public.u + 1)
+    obj["public"]["u"] = vec_to_json(key.ring, key.ring.reduce(key.public.u + 1))
 
 
 def _tamper_trapdoor(obj, key):

@@ -94,15 +94,16 @@ def test_matmul_matches_bigint_oracle(q, seed):
     ring = ModRing(q)
     rng = np.random.default_rng(seed)
     a = ring.uniform(rng, (3, 4))
-    b = ring.uniform(rng, (4, 2))
-    got = ring.matmul(a, b)
-    want = np.array(
-        [
-            [sum(int(a[i, k]) * int(b[k, j]) for k in range(4)) % q for j in range(2)]
-            for i in range(3)
-        ]
-    )
-    assert np.array_equal(got, want)
+    # b canonical, and b signed and small (|b| < q), as matmul's contract allows
+    for b in (ring.uniform(rng, (4, 2)), rng.integers(-1, 2, size=(4, 2), dtype=np.int64)):
+        got = ring.matmul(a, b)
+        want = np.array(
+            [
+                [sum(int(a[i, k]) * int(b[k, j]) for k in range(4)) % q for j in range(2)]
+                for i in range(3)
+            ]
+        )
+        assert np.array_equal(got, want)
 
 
 def test_matrix_json_roundtrip():

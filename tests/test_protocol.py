@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from clawrand.clawfree import claw_from_image, gen
 from clawrand.devices import branch_weight, honest_qubit_device, post_measurement
 from clawrand.extract import empirical_min_entropy
+from clawrand.modq import SizeGuardError
 from clawrand.profiles import get_profile
 from clawrand.protocol import (
     BornDeviceProver,
@@ -22,6 +24,7 @@ from clawrand.protocol import (
 )
 from clawrand.qsim import IdealProver, SimulatedProver
 from clawrand.rngstream import substream
+from clawrand.trapdoor import DecodeFailure
 
 
 def test_threshold_arithmetic_protocol1():
@@ -289,6 +292,43 @@ def test_prover_catalog_names():
         "classical-replay",
     }
     assert set(simplified_provers()) == {"device-honest", "device-constant"}
+
+
+def _assert_canonical(v, q):
+    v = np.asarray(v)
+    assert v.dtype == np.int64 and v.min() >= 0 and v.max() < q
+
+
+@pytest.mark.parametrize("name", ["micro", "micro-noisy", "desk-small", "desk-protocol"])
+def test_residues_are_canonical_by_construction(name):
+    # keys, decoded claws and every catalog prover's samples and preimages
+    # are int64 in [0, q) as produced, since nothing downstream re-reduces
+    prof = get_profile(name)
+    key = gen(prof, substream(5, "canonical", name))
+    for v in (key.public.A, key.public.u, key.s_bits, *claw_from_image(key, key.public.u)):
+        _assert_canonical(v, prof.q)
+    decoded = 0
+    for kind, cls in sorted(prover_catalog().items()):
+        prover = cls(substream(5, "canonical", name, kind))
+        try:
+            prover.new_key(key if getattr(prover, "wants_trapdoor", False) else key.public)
+            ys = [prover.next_sample() for _ in range(4)]
+        except SizeGuardError:
+            assert kind == "qsim-micro"  # the state vector exists at micro scale only
+            continue
+        for y in ys:
+            _assert_canonical(y, prof.q)
+            try:
+                claw = claw_from_image(key, y)
+            except (DecodeFailure, SizeGuardError):
+                continue
+            decoded += 1
+            for x in claw:
+                _assert_canonical(x, prof.q)
+        tag, _, x = prover.answer(1)
+        assert tag == "pre"
+        _assert_canonical(x, prof.q)
+    assert decoded > 0
 
 
 def test_budget_reports_expansion():

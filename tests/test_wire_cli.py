@@ -231,6 +231,20 @@ def test_cli_exit_codes(tmp_path):
         ["serve", "--transport", "stdio", "--rounds", "0"],
     ):
         assert run_cli(*argv, "--profile", "micro").returncode == 2, argv
+    # a print-only profile is refused by every command that would compute
+    # in Z_q; serve refuses before it listens or sends a frame
+    for argv in (
+        ["analyze", "--what", "moderate"],
+        ["analyze", "--what", "hardcore"],
+        ["analyze", "--what", "radius"],
+        ["analyze", "--what", "all"],
+        ["serve", "--transport", "stdio"],
+        ["serve", "--transport", "tcp", "--port", "0"],
+    ):
+        r = run_cli(*argv, "--profile", "full-scale")
+        assert r.returncode == 2 and r.stderr.startswith("configuration error:"), (argv, r.stderr)
+        assert r.stdout == "", argv
+    assert run_cli("analyze", "--what", "rate", "--profile", "full-scale").returncode == 0
 
 
 def test_cli_serve_stdio_pipe(tmp_path):
@@ -282,6 +296,7 @@ _MICRO_HELLO = (
     ("connect", [_MICRO_HELLO, '{"type":"decision","resample":true}']),
     ("serve", ["[1, 2]"]),
     ("serve", ['{"type":"hello","role":"prover","prover":"x"}', '"sample"']),
+    ("serve", ["x" * (2 << 20)]),  # longer than the 1 MiB frame cap
 ])
 def test_cli_stdio_malformed_frames_exit_protocol(role, lines):
     # a peer's frame that is not an object, or lacks the fields its type
@@ -306,6 +321,18 @@ def test_recv_rejects_lines_that_are_not_objects(line):
     chan = wire.LineChannel(io.BytesIO(line), io.BytesIO())
     with pytest.raises(wire.WireError):
         chan.recv("hello")
+
+
+def test_recv_caps_line_length():
+    import io
+
+    ok = b'{"type":"hello","pad":"' + b"x" * (wire.MAX_LINE_BYTES - 26) + b'"}\n'
+    assert len(ok) == wire.MAX_LINE_BYTES
+    assert wire.LineChannel(io.BytesIO(ok), io.BytesIO()).recv("hello")["type"] == "hello"
+    reader = io.BytesIO(b"x" * (4 * wire.MAX_LINE_BYTES) + b"\n")
+    with pytest.raises(wire.WireError, match="longer than"):
+        wire.LineChannel(reader, io.BytesIO()).recv("hello")
+    assert reader.tell() == wire.MAX_LINE_BYTES + 1  # read no further than the cap
 
 
 def test_cli_profiles_lists_full_scale():
