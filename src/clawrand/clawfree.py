@@ -427,8 +427,8 @@ def keypair_to_json(key: KeyPair) -> dict:
     return {
         "public": public_key_to_json(key.public),
         "trapdoor": None if key.gadget is None else trapdoor_to_json(key.gadget),
-        "s": [int(v) for v in key.s_bits],
-        "e": [int(v) for v in key.e],
+        "s": key.s_bits.tolist(),
+        "e": key.e.tolist(),
     }
 
 

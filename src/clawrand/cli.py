@@ -71,9 +71,9 @@ class ConfigError(Exception):
     pass
 
 
-def _profile_from_args(args):
+def _profile(name: str):
     try:
-        return get_profile(args.profile)
+        return get_profile(name)
     except KeyError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -92,6 +92,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a port in [0, 65535]")
+    return value
+
+
 def _emit(obj, path: str | None):
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
@@ -104,7 +111,7 @@ def _emit(obj, path: str | None):
 
 
 def cmd_keygen(args) -> int:
-    profile = _profile_from_args(args)
+    profile = _profile(args.profile)
     _ring(profile)
     key = gen(profile, substream(args.seed, "keygen"))
     Path(args.public_out).write_text(canonical_json(public_key_to_json(key.public)) + "\n")
@@ -122,7 +129,7 @@ def _build_prover(mode: str, kind: str, seed: int):
 
 
 def cmd_run(args) -> int:
-    profile = _profile_from_args(args)
+    profile = _profile(args.profile)
     _ring(profile)
     if profile.violated():
         print(f"# profile {profile.name!r} violates: {', '.join(profile.violated())}", file=sys.stderr)
@@ -262,7 +269,7 @@ def _analyze_radius(profile, rng) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    profile = _profile_from_args(args)
+    profile = _profile(args.profile)
     rng = substream(args.seed, "analyze", args.what)
     out = {"profile": profile.name}
     what = args.what
@@ -312,7 +319,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    profile = _profile_from_args(args)
+    profile = _profile(args.profile)
     _ring(profile)  # refuse before listening or sending a frame
     if args.transport == "stdio":
         chan = wire.LineChannel(sys.stdin.buffer, sys.stdout.buffer)
@@ -339,13 +346,8 @@ def cmd_connect(args) -> int:
 
 
 def cmd_profiles(args) -> int:
-    rows = []
-    for name, p in PROFILES.items():
-        if args.name and name != args.name:
-            continue
-        rows.append(p.as_dict())
-    _emit(rows, None)
-    return 0
+    profiles = [_profile(args.name)] if args.name else PROFILES.values()
+    return _emit([p.as_dict() for p in profiles], None)
 
 
 # -- parser ------------------------------------------------------------------
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="protocol1", choices=["protocol1", "protocol2"])
     p.add_argument("--transport", default="tcp", choices=["tcp", "stdio"])
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=19151)
+    p.add_argument("--port", type=_port, default=19151)
     p.add_argument("--rounds", type=_positive_int, default=None)
     p.add_argument("--transcript", default=None)
     p.set_defaults(fn=cmd_serve)
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prover", default="classical-committed")
     p.add_argument("--transport", default="tcp", choices=["tcp", "stdio"])
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=19151)
+    p.add_argument("--port", type=_port, default=19151)
     p.set_defaults(fn=cmd_connect)
 
     p = sub.add_parser("profiles", help="list parameter profiles and their violated conditions")

@@ -8,6 +8,11 @@ the protocol's sample and answer checks); nothing re-reduces it.  The
 centered representative of x, the unique integer in (-q/2, q/2]
 congruent to x, is taken only at norm/decoding boundaries.  All
 operations are pure; values are never mutated in place.
+
+An integer array becomes JSON only through ``.tolist()``, which yields
+builtin ints, in the JSON writers (``mat_to_json``, the key and trapdoor
+writers, round records and wire frames); ``canonical_json`` is the one
+encoder of transcripts, key digests and wire frames.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ def mat_to_json(ring: ModRing, m) -> dict:
         "q": ring.q,
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [int(v) for v in m.reshape(-1)],
+        "data": m.reshape(-1).tolist(),
     }
 
 
@@ -153,6 +158,10 @@ def vec_from_json(obj: dict) -> tuple[ModRing, np.ndarray]:
     return ring, m[:, 0]
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
-    """Stable single-line encoding used for transcripts and wire messages."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Stable single-line encoding used for transcripts, key digests and
+    wire messages."""
+    return _CANONICAL.encode(obj)

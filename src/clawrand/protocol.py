@@ -277,9 +277,9 @@ def _play_round(key: KeyPair, prover, rng: np.random.Generator, budget: _Budget,
     if c == 1:
         bbit, x = answer
         w = chk(key.public, bbit, x, y) if claw is not None else 0
-        return y, resamples, {"b": bbit, "x": [int(t) for t in x]}, w
+        return y, resamples, {"b": bbit, "x": x.tolist()}, w
     u, d = answer
-    record = {"u": u, "d": [int(t) for t in d]}
+    record = {"u": u, "d": d.tolist()}
     if claw is None:
         return y, resamples, record, 0
     x0, x1 = claw
@@ -326,7 +326,7 @@ def run_protocol1(
                 challenge=c,
                 t=None,
                 key_epoch=epoch,
-                y=None if y is None else [int(v) for v in y],
+                y=None if y is None else y.tolist(),
                 answer=answer_rec,
                 w=w,
                 o=o,

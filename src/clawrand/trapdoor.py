@@ -105,15 +105,15 @@ def _decode_data(ring: ModRing) -> dict:
         return data
     k = ring.coord_bits
     S = _perp_basis(q, k)
-    # basis of the primal gadget lattice {t*g mod q} + q*Z^k
-    D = np.rint(q * np.linalg.inv(S.T.astype(float))).astype(np.int64)
+    # basis of the primal gadget lattice {t*g mod q} + q*Z^k, integral
+    # entries kept as floats for the nearest-plane arithmetic
+    D = np.rint(q * np.linalg.inv(S.T.astype(float)))
     # Gram-Schmidt for nearest-plane
-    Df = D.astype(float)
-    Q = np.zeros_like(Df)
+    Q = np.zeros_like(D)
     for j in range(k):
-        v = Df[:, j].copy()
+        v = D[:, j].copy()
         for i in range(j):
-            v -= (Df[:, j] @ Q[:, i] / (Q[:, i] @ Q[:, i])) * Q[:, i]
+            v -= (D[:, j] @ Q[:, i] / (Q[:, i] @ Q[:, i])) * Q[:, i]
         Q[:, j] = v
     data = {"k": k, "D": D, "Q": Q, "Qnorm2": (Q * Q).sum(axis=0)}
     if q <= _ENUM_Q:
@@ -126,11 +126,12 @@ def _decode_data(ring: ModRing) -> dict:
 
 
 def _block_decode_primary(ring: ModRing, data: dict, c: np.ndarray) -> np.ndarray:
-    """Nearest-plane decode of every k-sized block at once; the first
-    coordinate of each recovered lattice point, mod q, is the block value."""
+    """Nearest-plane decode of every k-sized block of the centered c at
+    once; the first coordinate of each recovered lattice point, mod q, is
+    the block value."""
     k = data["k"]
-    D, Q, n2 = data["D"].astype(float), data["Q"], data["Qnorm2"]
-    targets = ring.centered(c).reshape(-1, k).astype(float)
+    D, Q, n2 = data["D"], data["Q"], data["Qnorm2"]
+    targets = c.reshape(-1, k).astype(float)
     t = targets.copy()
     for j in range(k - 1, -1, -1):
         coeff = np.rint(t @ Q[:, j] / n2[j])
@@ -151,7 +152,7 @@ def invert(key: TrapdoorKey, y, max_norm: float | None = None):
     if y.shape != (key.m,):
         raise ValueError(f"sample must have shape ({key.m},)")
     data = _decode_data(ring)
-    c = ring.reduce(key.R @ y[: key.mbar] + y[key.mbar :])
+    c = ring.centered(key.R @ y[: key.mbar] + y[key.mbar :])
     s = _block_decode_primary(ring, data, c)
     e = ring.centered(y - ring.matmul(key.A, s))
     if max_norm is None or math.sqrt(float((e * e).sum())) <= max_norm:
@@ -283,7 +284,7 @@ def trapdoor_to_json(key: TrapdoorKey) -> dict:
         "R": {
             "rows": int(key.R.shape[0]),
             "cols": int(key.R.shape[1]),
-            "data": [int(v) for v in key.R.reshape(-1)],
+            "data": key.R.reshape(-1).tolist(),
         },
         "layout": {"mbar": key.mbar},
     }

@@ -200,26 +200,31 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
             prover.new_key(_parse("key", lambda: public_key_from_json(msg, profile)))
             keyed = True
             if rounds_done < rounds:
-                chan.send({"type": "sample", "y": [int(v) for v in prover.next_sample()]})
+                chan.send({"type": "sample", "y": _int_list(prover.next_sample())})
         elif kind in ("challenge", "decision") and not keyed:
             raise WireError(f"{kind} frame before any key")
         elif kind == "challenge":
             tag, a, b = prover.answer(_parse("challenge", lambda: int(msg["c"])))
             if tag == "eq":
-                chan.send({"type": "answer_eq", "u": int(a), "d": [int(v) for v in b]})
+                chan.send({"type": "answer_eq", "u": int(a), "d": _int_list(b)})
             else:
-                chan.send({"type": "answer_pre", "b": int(a), "x": [int(v) for v in b]})
+                chan.send({"type": "answer_pre", "b": int(a), "x": _int_list(b)})
         elif kind == "decision":
             if msg.get("resample"):
-                chan.send({"type": "sample", "y": [int(v) for v in prover.next_sample()]})
+                chan.send({"type": "sample", "y": _int_list(prover.next_sample())})
                 continue
             rounds_done += 1
             if not msg.get("refresh") and rounds_done < rounds:
-                chan.send({"type": "sample", "y": [int(v) for v in prover.next_sample()]})
+                chan.send({"type": "sample", "y": _int_list(prover.next_sample())})
         elif kind == "final":
             return msg
         else:
             raise WireError(f"unexpected message {kind!r}")
+
+
+def _int_list(v) -> list[int]:
+    """A prover's integer vector (an array or a list) as builtin ints."""
+    return np.asarray(v, dtype=np.int64).tolist()
 
 
 def _parse(kind: str, decode):

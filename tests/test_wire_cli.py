@@ -231,6 +231,16 @@ def test_cli_exit_codes(tmp_path):
         ["serve", "--transport", "stdio", "--rounds", "0"],
     ):
         assert run_cli(*argv, "--profile", "micro").returncode == 2, argv
+    # out-of-range ports and unknown profile names are configuration errors
+    for argv in (
+        ["serve", "--port", "70000"],
+        ["serve", "--port", "-1"],
+        ["connect", "--port", "65536"],
+        ["connect", "--port", "-1"],
+        ["profiles", "--name", "nope"],
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 2 and "Traceback" not in r.stderr, (argv, r.stderr)
     # a print-only profile is refused by every command that would compute
     # in Z_q; serve refuses before it listens or sends a frame
     for argv in (
