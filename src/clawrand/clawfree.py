@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class PublicKey:
     A: np.ndarray  # (m, n)
     u: np.ndarray  # (m,)
 
-    @property
+    @cached_property
     def ring(self) -> ModRing:
         return ModRing(self.profile.q)
 

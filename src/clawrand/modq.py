@@ -119,10 +119,10 @@ def gadget_matrix(ring: ModRing, n: int) -> np.ndarray:
     """Block-diagonal (n*k, n) matrix with per-coordinate columns (1,2,4,...)."""
     k = ring.coord_bits
     g = 1 << np.arange(k, dtype=np.int64)  # 2^(k-1) < q
-    G = np.zeros((n * k, n), dtype=np.int64)
-    for i in range(n):
-        G[i * k : (i + 1) * k, i] = g
-    return G
+    G = np.zeros((n, k, n), dtype=np.int64)
+    i = np.arange(n)
+    G[i, :, i] = g
+    return G.reshape(n * k, n)
 
 
 def mat_to_json(ring: ModRing, m) -> dict:

@@ -243,18 +243,25 @@ def _validated_answer(key: KeyPair, prover, c: int):
     if c == 0:
         if kind != "eq":
             raise MalformedAnswer(f"expected equation answer, got {kind!r}")
-        u = int(a)
-        d = np.asarray(b, dtype=np.int64)
+        u, d = _converted(a, b, "equation")
         if u not in (0, 1) or d.shape != (prof.w,) or np.any((d != 0) & (d != 1)):
             raise MalformedAnswer("equation answer out of domain")
         return u, d
     if kind != "pre":
         raise MalformedAnswer(f"expected preimage answer, got {kind!r}")
-    bbit = int(a)
-    x = np.asarray(b, dtype=np.int64)
+    bbit, x = _converted(a, b, "preimage")
     if bbit not in (0, 1) or x.shape != (prof.n,) or np.any((x < 0) | (x >= prof.q)):
         raise MalformedAnswer("preimage answer out of domain")
     return bbit, x
+
+
+def _converted(a, b, kind: str):
+    """(int(a), b as an int64 array); a value that does not convert is
+    out of the answer's domain."""
+    try:
+        return int(a), np.asarray(b, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedAnswer(f"{kind} answer out of domain") from exc
 
 
 def _play_round(key: KeyPair, prover, rng: np.random.Generator, budget: _Budget, c: int):

@@ -16,7 +16,12 @@ failure.  Every block ranks its codewords by syndrome distance in one
 batched sort, and the repairs of one block, then (at small n) of two
 blocks are each checked as one array, in a fixed order whose first hit
 wins; squared centered residues come from a table of size O(q) cached per
-modulus.  A returned answer always satisfies y = A*s + e exactly.
+modulus.  A residual's squared norm over its first rows is a sum of some
+of its non-negative terms, hence a lower bound on the whole: every
+candidate is first built on a fixed prefix of rows, and only those within
+the bound there are built in full, so refusing a garbage image costs a
+fraction of the residual rows.  A returned answer always satisfies
+y = A*s + e exactly.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ from .modq import ModRing, SizeGuardError, gadget_matrix, mat_from_json, mat_to_
 _ENUM_Q = 4096
 _FALLBACK_LIST = 6
 _FALLBACK_PAIR_MAX_N = 8
+# rows of a fallback candidate's residual built before the rest: a
+# uniform image's candidates are all over the bound within 24 rows
+_FALLBACK_PREFIX = 24
 
 
 class DecodeFailure(Exception):
@@ -80,7 +88,11 @@ def gen_trap(ring: ModRing, n: int, m: int, rng: np.random.Generator) -> Trapdoo
     mbar = m - w
     Abar = ring.uniform(rng, (mbar, n))
     R = rng.integers(-1, 2, size=(w, mbar), dtype=np.int64)
-    A = np.vstack([Abar, ring.reduce(gadget_matrix(ring, n) - R @ Abar)])
+    # R @ Abar through float64 BLAS (numpy's int64 matmul has none): every
+    # partial sum is an integer of size at most mbar*(q - 1) < 2^53, so the
+    # float product is exact
+    RA = (R.astype(np.float64) @ Abar.astype(np.float64)).astype(np.int64)
+    A = np.vstack([Abar, ring.reduce(gadget_matrix(ring, n) - RA)])
     return TrapdoorKey(ring=ring, A=A, R=R, mbar=mbar)
 
 
@@ -180,20 +192,25 @@ def _fallback_search(key, data, c, e0, s_primary, max_norm):
     # residues are looked up in the table of size 3q.
     q = key.ring.q
     sq = data["sq"]
-    dist = sq[(c.reshape(key.n, 1, -1) - data["codebook"]) % q].sum(axis=2)  # (n, q)
+    # c is centered, so c - codeword + 2q lies in [0, 3q)
+    dist = sq[c.reshape(key.n, 1, -1) + (2 * q - data["codebook"])].sum(axis=2)  # (n, q)
     ranked = np.argsort(dist, axis=1, kind="stable")[:, :_FALLBACK_LIST]
     owner, rank = np.nonzero(ranked != s_primary[:, None])
     value = ranked[owner, rank]
-    # (s_primary[j] - t) * A[:, j] mod q per candidate, built in place in
-    # int32 (q <= _ENUM_Q keeps q^2 in range).  At desk-protocol size the
-    # array then stays under malloc's mmap threshold (128 KiB); above it,
-    # every call pays page faults that cost more than the arithmetic.
-    delta = key.A.T.astype(np.int32)[owner]  # (n_cand, m)
-    delta *= ((s_primary[owner] - value) % q).astype(np.int32)[:, None]
-    delta %= q
-    r0 = (e0 % q).astype(np.int32)
+    # (s_primary[j] - t) * A[:, j] mod q per candidate, on rows [lo, hi)
+    # of the residual
+    step = ((s_primary[owner] - value) % q)[:, None]
+    r0 = e0 % q
+    p = min(_FALLBACK_PREFIX, key.m)
+
+    def delta(cand, lo, hi):
+        d = key.A.T[owner[cand], lo:hi] * step[cand]
+        d %= q
+        return d
+
+    head = delta(slice(None), 0, p)
     s = s_primary.copy()
-    i = _first_within(sq, delta + r0, max_norm)
+    i = _first_within(sq, head + r0[:p], lambda live: delta(live, p, key.m) + r0[p:], max_norm)
     if i is not None:
         s[owner[i]] = value[i]
         return s
@@ -204,19 +221,35 @@ def _fallback_search(key, data, c, e0, s_primary, max_norm):
     a, b = a[distinct], b[distinct]
     order = np.lexsort((b, a, owner[b], owner[a]))
     a, b = a[order], b[order]
-    i = _first_within(sq, delta[a] + delta[b] + r0, max_norm)
+
+    def pair_tail(live):
+        return delta(a[live], p, key.m) + delta(b[live], p, key.m) + r0[p:]
+
+    i = _first_within(sq, head[a] + head[b] + r0[:p], pair_tail, max_norm)
     if i is None:
         return None
     s[owner[a[i]]], s[owner[b[i]]] = value[a[i]], value[b[i]]
     return s
 
 
-def _first_within(sq, resid, max_norm):
-    """Index of the first row of residues in [0, 3q) whose centered norm
-    is within max_norm, or None."""
-    norms2 = sq[resid].sum(axis=1)
-    hits = np.flatnonzero(np.sqrt(norms2.astype(float)) <= max_norm)
-    return int(hits[0]) if hits.size else None
+def _within(norms2, max_norm):
+    return np.sqrt(norms2.astype(float)) <= max_norm
+
+
+def _first_within(sq, head, tail, max_norm):
+    """Index of the first candidate whose residual has centered norm within
+    max_norm, or None.  head holds every candidate's residues in [0, 3q)
+    on the leading rows; tail(live) builds the remaining rows for the
+    candidates live only.  The head's squared norm is a sum of some of the
+    full sum's non-negative terms and the test is monotone in it, so a
+    candidate over the bound there fails the full test too and its tail
+    is never built."""
+    part = sq[head].sum(axis=1)
+    live = np.flatnonzero(_within(part, max_norm))
+    if not live.size:
+        return None
+    hits = np.flatnonzero(_within(part[live] + sq[tail(live)].sum(axis=1), max_norm))
+    return int(live[hits[0]]) if hits.size else None
 
 
 def exhaustive_invert(ring: ModRing, A: np.ndarray, y, max_norm: float):
@@ -249,8 +282,6 @@ def measure_decode_radius(
     reported empirically: noise is drawn at a sweep of widths, each trial
     records (norm, success), and the report is the largest norm whose
     entire prefix succeeded."""
-    from .gaussians import TruncGaussian
-
     ring = key.ring
     results = []
     widths = np.linspace(0.5, max(1.0, ring.q / 4), num=max(4, trials // 10))

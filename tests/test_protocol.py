@@ -207,6 +207,32 @@ def test_malformed_prover_scores_zero_but_run_completes():
     assert all(r.w == 0 for r in tr.records if r.round_type == "test")
 
 
+@pytest.mark.parametrize(
+    "a,b",
+    [(None, "honest"), ("x", "honest"), (1, None), (1, "ragged")],
+    ids=["none-bit", "string-bit", "none-vector", "ragged-vector"],
+)
+def test_unconvertible_answer_scores_zero(a, b):
+    # answers whose values do not convert to an int and an int64 vector
+    # are malformed: the round scores 0 and the run goes on
+    class Unconvertible(CommittedPreimageProver):
+        def answer(self, c, t=None):
+            kind, _, v = super().answer(c, t)
+            v = {"honest": v, "ragged": [[0], [0, 1]]}.get(b, b)
+            return kind, a, v
+
+    prof = get_profile("micro", p_test=0.5)
+    rep = single_round_test(prof, Unconvertible(substream(16, "prover")), 20, substream(16, "v"))
+    assert rep.successes == 0
+    tr = run_protocol1(prof, Unconvertible(substream(17, "prover")), substream(17, "v"), n_rounds=40)
+    assert not tr.accepted
+    assert tr.test_count > 0
+    for r in tr.records:
+        assert "out of domain" in r.answer["malformed"]
+        if r.round_type == "test":
+            assert r.w == 0
+
+
 @pytest.mark.parametrize("p_test,rounds", [(0.1, 0), (0.0, 20)])
 def test_protocol1_rejects_run_without_test_rounds(p_test, rounds):
     # with p_test = 0 the threshold is 0, which no test passes would meet

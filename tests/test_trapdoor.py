@@ -9,7 +9,9 @@ import scipy.stats
 from clawrand.gaussians import TruncGaussian
 from clawrand.modq import ModRing, gadget_matrix
 from clawrand.trapdoor import (
+    _FALLBACK_PREFIX,
     DecodeFailure,
+    TrapdoorKey,
     exhaustive_invert,
     gen_trap,
     invert,
@@ -356,3 +358,43 @@ def test_fallback_matches_loop_reference(name, widths):
                         paths[("single", "pair")[moved - 1]] += 1
     assert paths["single"] and paths["failure"], paths
     assert bool(paths["pair"]) == (prof.n <= 8), paths
+
+
+def test_fallback_accepts_prefix_residual_at_the_bound():
+    # a secret-0 sample whose noise lies in block 0's gadget rows, inside
+    # the fallback's prefix: the nearest-plane answer misses, and the
+    # repair's residual, zero beyond the prefix, has norm exactly the bound
+    ring = ModRing(13)
+    key = gen_trap(ring, 4, 36, np.random.default_rng(1))
+    assert key.mbar + 4 <= _FALLBACK_PREFIX < key.m
+    e = np.zeros(key.m, dtype=np.int64)
+    e[key.mbar : key.mbar + 4] = (-2, 2, 2, -2)
+    y = ring.reduce(e)
+    assert invert(key, y)[0].any()
+    s, e2 = invert(key, y, max_norm=4.0)
+    assert not s.any()
+    assert np.array_equal(e2, e)
+
+
+def test_fallback_checks_full_norm_of_prefix_survivors():
+    # A is zero on the prefix rows, so every candidate passes the prefix;
+    # the primary decode misses block 1 only, so block 0's candidates come
+    # first and must fail on the full residual before block 1's repair wins
+    ring = ModRing(13)
+    n, m, w = 4, 48, 16
+    mbar = m - w
+    rng = np.random.default_rng(2)
+    Abar = ring.uniform(rng, (mbar, n))
+    Abar[:_FALLBACK_PREFIX] = 0
+    R = rng.integers(-1, 2, size=(w, mbar))
+    A = np.vstack([Abar, ring.reduce(gadget_matrix(ring, n) - R @ Abar)])
+    key = TrapdoorKey(ring=ring, A=A, R=R, mbar=mbar)
+    key.validate()
+    assert not A[:_FALLBACK_PREFIX].any()
+    e = np.zeros(m, dtype=np.int64)
+    e[mbar + 4 : mbar + 8] = (3, 3, 3, -3)
+    y = ring.reduce(e)
+    assert np.flatnonzero(invert(key, y)[0]).tolist() == [1]
+    s, e2 = invert(key, y, max_norm=6.0)
+    assert not s.any()
+    assert np.array_equal(e2, e)
