@@ -99,6 +99,20 @@ def _port(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text, 0)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a seed in [0, 2^64)")
+    return value
+
+
+def _rate(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also refuses NaN
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rate in [0, 1]")
+    return value
+
+
 def _emit(obj, path: str | None):
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
@@ -359,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--profile", default="micro", help="parameter profile name")
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=1, help="64-bit master seed")
+        p.add_argument("--seed", type=_seed, default=1, help="64-bit master seed")
 
     p = sub.add_parser("keygen", help="generate a key pair")
     add_common(p)
@@ -388,12 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("extract", help="Toeplitz-hash a hex bit file")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--n-in", type=int, default=None)
     p.add_argument("--n-out", type=int, default=None)
-    p.add_argument("--rate", type=float, default=0.5, help="rate for the default output length")
+    p.add_argument("--rate", type=_rate, default=0.5, help="min-entropy rate in [0, 1] for the default output length")
     p.set_defaults(fn=cmd_extract)
 
     p = sub.add_parser("serve", help="host a verifier session")
@@ -407,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("connect", help="run a prover against a remote verifier")
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--prover", default="classical-committed")
     p.add_argument("--transport", default="tcp", choices=["tcp", "stdio"])
     p.add_argument("--host", default="127.0.0.1")

@@ -204,11 +204,15 @@ def _request_sample(key: KeyPair, prover):
     inverted."""
     for attempt in range(_RESAMPLE_CAP + 1):
         try:
-            y = np.asarray(prover.next_sample(), dtype=np.int64)
+            sample = prover.next_sample()
         except SessionAbort:
             raise
         except Exception as exc:
             raise MalformedAnswer(f"prover raised {type(exc).__name__}: {exc}") from exc
+        try:
+            y = _exact_int64(sample)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedAnswer("sample entries not integers") from exc
         if y.shape != (key.profile.m,):
             raise MalformedAnswer(f"sample shape {y.shape}")
         if y.min() < 0 or y.max() >= key.profile.q:
@@ -256,12 +260,35 @@ def _validated_answer(key: KeyPair, prover, c: int):
 
 
 def _converted(a, b, kind: str):
-    """(int(a), b as an int64 array); a value that does not convert is
-    out of the answer's domain."""
+    """(a as an int, b as an int64 array); a value that does not convert
+    exactly is out of the answer's domain."""
     try:
-        return int(a), np.asarray(b, dtype=np.int64)
+        return _exact_int(a), _exact_int64(b)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedAnswer(f"{kind} answer out of domain") from exc
+
+
+def _exact_int(v) -> int:
+    """int(v), refusing (ValueError) a v the conversion would change: a
+    fraction, or a string.  int() itself refuses NaN and inf."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return i
+
+
+def _exact_int64(v) -> np.ndarray:
+    """v as an int64 array.  Integer and bool arrays convert as they
+    are; any other array must convert unchanged, so a fraction, NaN, inf
+    or a value outside int64 is refused (ValueError or OverflowError)."""
+    arr = np.asarray(v)
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN and inf are refused below
+        out = arr.astype(np.int64)
+    if not np.array_equal(out, arr):
+        raise ValueError("entries are not integers")
+    return out
 
 
 def _play_round(key: KeyPair, prover, rng: np.random.Generator, budget: _Budget, c: int):
@@ -399,14 +426,14 @@ def run_protocol2(
         try:
             ans = prover.round2(c, t)
             if c == 0:
-                e, k = (int(ans[0]), None if ans[1] is None else int(ans[1]))
+                e, k = (_exact_int(ans[0]), None if ans[1] is None else _exact_int(ans[1]))
                 if e not in (0, 1) or (t == 1 and k not in (0, 1)):
                     raise MalformedAnswer("bad simplified equation report")
                 answer_rec = {"e": e, "k": k}
                 w = e if t == 0 else e * (1 - k)
                 o = w
             else:
-                v = int(ans)
+                v = _exact_int(ans)
                 if v not in (0, 1, 2):
                     raise MalformedAnswer("bad preimage label")
                 answer_rec = {"v": v}

@@ -22,12 +22,22 @@ candidate is first built on a fixed prefix of rows, and only those within
 the bound there are built in full, so refusing a garbage image costs a
 fraction of the residual rows.  A returned answer always satisfies
 y = A*s + e exactly.
+
+A block's nearest-plane value and ranked codewords depend only on its k
+residues.  Where q^k <= 2^16 (q <= 16) they are kept in a per-modulus
+block table, filled row by row the first time a block is met, so a
+decode gathers its n rows in one lookup.  Each key keeps the prefix
+multiples t*A[:p, j] mod q for every column j and t in Z_q, built on its
+first fallback search, so the candidates' prefix rows are one gather as
+well.  Both are caches of the same two computations, so every outcome is
+the one they give.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +47,9 @@ from .modq import ModRing, SizeGuardError, gadget_matrix, mat_from_json, mat_to_
 # Full codeword enumeration per block is used for the decode fallback only
 # when q is small enough to tabulate.
 _ENUM_Q = 4096
+# A modulus with at most this many distinct blocks (q^k) keeps a table of
+# block decodes, filled as blocks are met.
+_TABLE_BLOCKS = 1 << 16
 _FALLBACK_LIST = 6
 _FALLBACK_PAIR_MAX_N = 8
 # rows of a fallback candidate's residual built before the rest: a
@@ -66,6 +79,15 @@ class TrapdoorKey:
     @property
     def w(self) -> int:
         return self.n * self.ring.coord_bits
+
+    @cached_property
+    def prefix_multiples(self) -> np.ndarray:
+        """t*A[:p, j] mod q for every column j and t in Z_q, shape (n, q, p)
+        with p = min(_FALLBACK_PREFIX, m): the leading rows of every
+        fallback candidate's column delta, built on the key's first
+        fallback search."""
+        t = np.arange(self.ring.q, dtype=np.int64)
+        return t[None, :, None] * self.A[:_FALLBACK_PREFIX].T[:, None, :] % self.ring.q
 
     def validate(self):
         G = gadget_matrix(self.ring, self.n)
@@ -133,6 +155,11 @@ def _decode_data(ring: ModRing) -> dict:
         data["codebook"] = ring.reduce(np.outer(np.arange(q, dtype=np.int64), g))
         # squared centered residue of r mod q, for 0 <= r < 3q
         data["sq"] = (ring.centered(np.arange(3 * q, dtype=np.int64)) ** 2).astype(np.int32)
+    if q**k <= _TABLE_BLOCKS:
+        # one row per block of residues, indexed in residue_grid order:
+        # _block_rows' row for that block, or -1 until it is first met
+        data["table"] = np.full((q**k, 1 + min(_FALLBACK_LIST, q)), -1, dtype=np.int8)
+        data["place"] = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
     _DECODE_CACHE[q] = data
     return data
 
@@ -151,6 +178,37 @@ def _block_decode_primary(ring: ModRing, data: dict, c: np.ndarray) -> np.ndarra
     return np.rint(targets[:, 0] - t[:, 0]).astype(np.int64) % ring.q
 
 
+def _rank_codewords(ring: ModRing, data: dict, c: np.ndarray) -> np.ndarray:
+    """Every k-sized block of the centered c ranks all q codewords by
+    syndrome distance (stable sort, so ties keep codeword order); the top
+    min(_FALLBACK_LIST, q) of each block."""
+    # c is centered, so c - codeword + 2q lies in [0, 3q)
+    blocks = c.reshape(-1, 1, data["k"])
+    dist = data["sq"][blocks + (2 * ring.q - data["codebook"])].sum(axis=2)
+    return np.argsort(dist, axis=1, kind="stable")[:, :_FALLBACK_LIST]
+
+
+def _block_rows(ring: ModRing, data: dict, r: np.ndarray) -> np.ndarray:
+    """One row per k-sized block of the residues r: the block's
+    nearest-plane value, then, where the modulus has a table, its ranked
+    codewords.  A row depends on the block's residues only, so it is
+    looked up in the table, and computed and stored whole the first time
+    its block is met.  Without a table only the value is computed."""
+    table = data.get("table")
+    if table is None:
+        return _block_decode_primary(ring, data, ring.centered(r))[:, None]
+    blocks = r.reshape(-1, data["k"])
+    idx = blocks @ data["place"]
+    rows = table[idx]
+    new = rows[:, 0] < 0
+    if new.any():
+        c = ring.centered(blocks[new])
+        rows[new, 0] = _block_decode_primary(ring, data, c)
+        rows[new, 1:] = _rank_codewords(ring, data, c)
+        table[idx[new]] = rows[new]
+    return rows
+
+
 def invert(key: TrapdoorKey, y, max_norm: float | None = None):
     """Recover (s, e) with y = A*s + e exactly.
 
@@ -164,53 +222,51 @@ def invert(key: TrapdoorKey, y, max_norm: float | None = None):
     if y.shape != (key.m,):
         raise ValueError(f"sample must have shape ({key.m},)")
     data = _decode_data(ring)
-    c = ring.centered(key.R @ y[: key.mbar] + y[key.mbar :])
-    s = _block_decode_primary(ring, data, c)
+    r = ring.reduce(key.R @ y[: key.mbar] + y[key.mbar :])
+    rows = _block_rows(ring, data, r)
+    s = rows[:, 0].astype(np.int64)
     e = ring.centered(y - ring.matmul(key.A, s))
     if max_norm is None or math.sqrt(float((e * e).sum())) <= max_norm:
         return s, e
     if "codebook" not in data:
         raise DecodeFailure("residual norm exceeds bound (no enumeration at this q)")
-    s = _fallback_search(key, data, c, e, s, max_norm)
+    ranked = rows[:, 1:] if "table" in data else _rank_codewords(ring, data, ring.centered(r))
+    s = _fallback_search(key, data, ranked, e, s, max_norm)
     if s is None:
         raise DecodeFailure("no candidate within the noise bound")
     e = ring.centered(y - ring.matmul(key.A, s))
     return s, e
 
 
-def _fallback_search(key, data, c, e0, s_primary, max_norm):
+def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
     # The nearest-plane answer rarely misses by more than a block or two,
-    # so repairs are searched in two batches.  Every block ranks all q
-    # codewords by syndrome distance at once (stable sort, so ties keep
-    # codeword order) and keeps its top _FALLBACK_LIST other than the
-    # primary value; candidates are listed block by block, rank by rank.
-    # Single-block repairs come first, then, at small n, repairs of two
-    # distinct blocks in (block, block, candidate, candidate) order.  The
-    # first repair in that order whose residual meets the bound wins;
-    # deeper misses are reported as failures.  Residuals are e0 plus
-    # column deltas, never full products, and their squared centered
-    # residues are looked up in the table of size 3q.
+    # so repairs are searched in two batches.  Each block's ranked
+    # codewords (from _block_rows) other than its primary value are its
+    # candidates, listed block by block, rank by rank.  Single-block
+    # repairs come first, then, at small n, repairs of two distinct blocks
+    # in (block, block, candidate, candidate) order.  The first repair in
+    # that order whose residual meets the bound wins; deeper misses are
+    # reported as failures.  Residuals are e0 plus column deltas, never
+    # full products, and their squared centered residues are looked up in
+    # the table of size 3q.
     q = key.ring.q
     sq = data["sq"]
-    # c is centered, so c - codeword + 2q lies in [0, 3q)
-    dist = sq[c.reshape(key.n, 1, -1) + (2 * q - data["codebook"])].sum(axis=2)  # (n, q)
-    ranked = np.argsort(dist, axis=1, kind="stable")[:, :_FALLBACK_LIST]
     owner, rank = np.nonzero(ranked != s_primary[:, None])
     value = ranked[owner, rank]
-    # (s_primary[j] - t) * A[:, j] mod q per candidate, on rows [lo, hi)
-    # of the residual
-    step = ((s_primary[owner] - value) % q)[:, None]
+    # the column delta (s_primary[j] - t) * A[:, j] mod q of a candidate
+    # is step * A[:, j]: its prefix rows are looked up, the rest built
+    step = (s_primary[owner] - value) % q
     r0 = e0 % q
     p = min(_FALLBACK_PREFIX, key.m)
 
-    def delta(cand, lo, hi):
-        d = key.A.T[owner[cand], lo:hi] * step[cand]
+    def tail(cand):
+        d = key.A.T[owner[cand], p:] * step[cand, None]
         d %= q
         return d
 
-    head = delta(slice(None), 0, p)
+    head = key.prefix_multiples[owner, step]
     s = s_primary.copy()
-    i = _first_within(sq, head + r0[:p], lambda live: delta(live, p, key.m) + r0[p:], max_norm)
+    i = _first_within(sq, head + r0[:p], lambda live: tail(live) + r0[p:], max_norm)
     if i is not None:
         s[owner[i]] = value[i]
         return s
@@ -223,7 +279,7 @@ def _fallback_search(key, data, c, e0, s_primary, max_norm):
     a, b = a[order], b[order]
 
     def pair_tail(live):
-        return delta(a[live], p, key.m) + delta(b[live], p, key.m) + r0[p:]
+        return tail(a[live]) + tail(b[live]) + r0[p:]
 
     i = _first_within(sq, head[a] + head[b] + r0[:p], pair_tail, max_norm)
     if i is None:

@@ -84,7 +84,8 @@ class LineChannel:
 
 class RemoteProver:
     """Server-side adapter presenting a connected client as a Protocol 1
-    prover."""
+    prover.  Frame values are passed on unconverted, so the verifier
+    checks a remote answer exactly as it checks a local one."""
 
     wants_trapdoor = False
 
@@ -101,15 +102,14 @@ class RemoteProver:
         if self._mid_round:
             self.chan.send({"type": "decision", "resample": True, "refresh": False})
         self._mid_round = True
-        msg = self.chan.recv("sample")
-        return np.asarray(msg["y"], dtype=np.int64)
+        return self.chan.recv("sample")["y"]
 
     def answer(self, c: int, t=None):
         self.chan.send({"type": "challenge", "c": int(c), "t": t})
         msg = self.chan.recv("answer_eq", "answer_pre")
         if msg["type"] == "answer_eq":
-            return ("eq", int(msg["u"]), np.asarray(msg["d"], dtype=np.int64))
-        return ("pre", int(msg["b"]), np.asarray(msg["x"], dtype=np.int64))
+            return ("eq", msg["u"], msg["d"])
+        return ("pre", msg["b"], msg["x"])
 
     def end_round(self, index: int, refresh: bool):
         self._mid_round = False
@@ -119,7 +119,8 @@ class RemoteProver:
 
 
 class RemoteProver2:
-    """Server-side adapter for the simplified protocol."""
+    """Server-side adapter for the simplified protocol; frame values are
+    passed on unconverted."""
 
     def __init__(self, chan: LineChannel):
         self.chan = chan
@@ -128,8 +129,8 @@ class RemoteProver2:
         self.chan.send({"type": "challenge", "c": int(c), "t": int(t)})
         msg = self.chan.recv("answer_eq", "answer_pre")
         if msg["type"] == "answer_eq":
-            return (int(msg["e"]), None if msg.get("k") is None else int(msg["k"]))
-        return int(msg["v"])
+            return (msg["e"], msg.get("k"))
+        return msg["v"]
 
 
 def serve_session(

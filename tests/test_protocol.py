@@ -233,6 +233,56 @@ def test_unconvertible_answer_scores_zero(a, b):
             assert r.w == 0
 
 
+@pytest.mark.parametrize(
+    "field,message",
+    [
+        ("sample", "sample entries not integers"),
+        ("bit", "answer out of domain"),
+        ("vector", "answer out of domain"),
+        ("nan", "answer out of domain"),
+        ("inf", "answer out of domain"),
+    ],
+)
+def test_non_integral_values_score_zero(field, message):
+    # a value that int64 conversion would change is malformed, never
+    # truncated to an honest one: the round scores 0 and the run goes on
+    class Fractional(CommittedPreimageProver):
+        def next_sample(self):
+            y = super().next_sample()
+            return y + 0.4 if field == "sample" else y
+
+        def answer(self, c, t=None):
+            kind, a, v = super().answer(c, t)
+            v = np.asarray(v, dtype=float)
+            if field == "bit":
+                a = a + 0.9
+            elif field == "vector":
+                v = v + 0.5
+            elif field in ("nan", "inf"):
+                v[0] = float(field)
+            return kind, a, v
+
+    prof = get_profile("micro", p_test=0.5)
+    rep = single_round_test(prof, Fractional(substream(16, "prover")), 20, substream(16, "v"))
+    assert rep.successes == 0
+    tr = run_protocol1(prof, Fractional(substream(17, "prover")), substream(17, "v"), n_rounds=20)
+    assert tr.test_count > 0 and tr.test_passes == 0
+    assert all(message in r.answer["malformed"] for r in tr.records)
+
+
+def test_protocol2_non_integral_reports_score_zero():
+    # (1.25, 0.5) and 0.5 truncate to a passing equation report and
+    # preimage label; refused, every test round scores 0
+    class Fractional:
+        def round2(self, c, t):
+            return (1.25, 0.5) if c == 0 else 0.5
+
+    prof = get_profile("micro", N=200, p_test=0.3)
+    tr = run_protocol2(prof, Fractional(), substream(18, "verifier"))
+    assert tr.test_count > 0 and tr.test_passes == 0
+    assert all("malformed" in r.answer for r in tr.records)
+
+
 @pytest.mark.parametrize("p_test,rounds", [(0.1, 0), (0.0, 20)])
 def test_protocol1_rejects_run_without_test_rounds(p_test, rounds):
     # with p_test = 0 the threshold is 0, which no test passes would meet

@@ -7,9 +7,13 @@ import pytest
 import scipy.stats
 
 from clawrand.gaussians import TruncGaussian
-from clawrand.modq import ModRing, gadget_matrix
+from clawrand.modq import ModRing, gadget_matrix, residue_grid
 from clawrand.trapdoor import (
+    _DECODE_CACHE,
     _FALLBACK_PREFIX,
+    _block_decode_primary,
+    _block_rows,
+    _decode_data,
     DecodeFailure,
     TrapdoorKey,
     exhaustive_invert,
@@ -398,3 +402,67 @@ def test_fallback_checks_full_norm_of_prefix_survivors():
     s, e2 = invert(key, y, max_norm=6.0)
     assert not s.any()
     assert np.array_equal(e2, e)
+
+
+def _ranked_reference(ring, c):
+    """Each centered block's codewords sorted by syndrome distance, ties in
+    codeword order, top min(6, q)."""
+    q, k = ring.q, ring.coord_bits
+    codebook = ring.reduce(np.outer(np.arange(q), ring.reduce(1 << np.arange(k))))
+    d = ring.centered(c[:, None, :] - codebook[None])
+    dist = (d * d).sum(axis=2)
+    codeword = np.broadcast_to(np.arange(q), dist.shape)
+    return np.lexsort((codeword, dist), axis=1)[:, : min(6, q)]
+
+
+@pytest.mark.parametrize("q", [13, 3])
+def test_block_table_matches_direct_decode(q):
+    # every block of residues, in residue_grid order: the table row at a
+    # block's index holds its nearest-plane value and its ranked codewords
+    ring = ModRing(q)
+    k = ring.coord_bits
+    _DECODE_CACHE.pop(q, None)
+    data = _decode_data(ring)
+    grid = residue_grid(q, k)
+    rows = _block_rows(ring, data, grid.reshape(-1))
+    table = data["table"]
+    assert table.shape == (q**k, 1 + min(6, q))
+    c = ring.centered(grid)
+    assert np.array_equal(table[:, 0], _block_decode_primary(ring, data, c))
+    assert np.array_equal(table[:, 1:], _ranked_reference(ring, c))
+    assert np.array_equal(rows, table)
+
+
+def test_decode_outcomes_do_not_depend_on_table_fill_order():
+    # the table is filled as blocks are met: a cold cache decoding one set
+    # of honest and garbage images forwards and backwards gives the same
+    # outcome for each image
+    from clawrand.clawfree import _sample_noise_bound
+    from clawrand.profiles import get_profile
+
+    prof = get_profile("desk-protocol")
+    ring = prof.ring()
+    rng = np.random.default_rng(14)
+    key = gen_trap(ring, prof.n, prof.m, rng)
+    noise = TruncGaussian(ring, 1.0)
+    ys = [ring.uniform(rng, prof.m) for _ in range(20)]
+    for _ in range(40):
+        e = ring.centered(noise.sample_vec(rng, prof.m))
+        ys.append(ring.reduce(ring.matmul(key.A, ring.uniform(rng, prof.n)) + e))
+    bound = max(_sample_noise_bound(prof), math.sqrt(prof.m))
+
+    def outcomes(order):
+        _DECODE_CACHE.clear()
+        out = {}
+        for i in order:
+            try:
+                s, e = invert(key, ys[i], max_norm=bound)
+                out[i] = (s.tolist(), e.tolist())
+            except DecodeFailure as exc:
+                out[i] = str(exc)
+        return out
+
+    forward = outcomes(range(len(ys)))
+    assert forward == outcomes(reversed(range(len(ys))))
+    kinds = {isinstance(v, str) for v in forward.values()}
+    assert kinds == {True, False}

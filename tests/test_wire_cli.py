@@ -70,6 +70,28 @@ def test_socket_resample_flow_matches_local():
     assert remote["transcript"].to_jsonl() == local.to_jsonl()
 
 
+@pytest.mark.parametrize("field", ["sample", "vector"])
+def test_server_refuses_non_integral_frame_values(monkeypatch, field):
+    # a client that sends fractional numbers gets every round scored 0:
+    # the server checks frame values as the local verifier checks answers
+    class Fractional(CommittedPreimageProver):
+        def next_sample(self):
+            y = super().next_sample()
+            return y + 0.4 if field == "sample" else y
+
+        def answer(self, c, t=None):
+            kind, a, v = super().answer(c, t)
+            return kind, a, np.asarray(v) + 0.5
+
+    monkeypatch.setattr(wire, "_int_list", lambda v: np.asarray(v).tolist())
+    monkeypatch.setattr(wire, "prover_catalog", lambda: {"fractional": Fractional})
+    out = run_socket_pair(get_profile("micro", p_test=0.5), "protocol1", "fractional", 17, 20)
+    tr = out["transcript"]
+    assert tr.test_count > 0 and tr.test_passes == 0
+    assert all("malformed" in r.answer for r in tr.records)
+    assert not out["final"]["accepted"]
+
+
 def test_dead_client_aborts_session():
     import socket as socketlib
 
@@ -241,6 +263,26 @@ def test_cli_exit_codes(tmp_path):
     ):
         r = run_cli(*argv)
         assert r.returncode == 2 and "Traceback" not in r.stderr, (argv, r.stderr)
+    # seeds outside [0, 2^64) and extraction rates outside [0, 1], NaN
+    # and inf included, are configuration errors
+    hexfile = tmp_path / "in.hex"
+    hexfile.write_text("ff" * 64 + "\n")
+    extract = ["extract", "--input", str(hexfile), "--output", str(tmp_path / "o.hex")]
+    for argv in (
+        ["run", "--seed", "-1"],
+        ["run", "--seed", "0x1ffffffffffffffff"],
+        ["keygen", "--seed", "-1", "--public-out", str(tmp_path / "k.json")],
+        ["keygen", "--seed", str(1 << 64), "--public-out", str(tmp_path / "k.json")],
+        ["analyze", "--what", "rate", "--seed", "-1"],
+        ["analyze", "--what", "rate", "--seed", "0x1ffffffffffffffff"],
+        [*extract, "--rate", "nan"],
+        [*extract, "--rate", "inf"],
+        [*extract, "--rate", "1e308"],
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 2 and "Traceback" not in r.stderr, (argv, r.stderr)
+    assert run_cli("run", "--mode", "single-round", "--trials", "1",
+                   "--seed", hex((1 << 64) - 1)).returncode == 0
     # a print-only profile is refused by every command that would compute
     # in Z_q; serve refuses before it listens or sends a frame
     for argv in (
