@@ -81,6 +81,10 @@ class KeyGenFailure(Exception):
     """Key generation exhausted its retry budget."""
 
 
+# key draws gen makes before it gives up
+_KEYGEN_RETRIES = 64
+
+
 def _sample_noise_bound(profile: ParameterProfile) -> float:
     # covers the support of either branch density shifted by the key noise
     return (profile.B_P + profile.B_V) * math.sqrt(profile.m)
@@ -103,11 +107,11 @@ def _min_claw_distance(ring: ModRing, A: np.ndarray) -> float:
     return float(np.sqrt((img * img).sum(axis=1)).min())
 
 
-def gen(profile: ParameterProfile, rng: np.random.Generator, max_retries: int = 64) -> KeyPair:
+def gen(profile: ParameterProfile, rng: np.random.Generator) -> KeyPair:
     """Sample a key pair and verify the trapdoor inverts its own image."""
     ring = profile.ring()
     noise = profile.noise_dist(profile.B_V)
-    for _ in range(max_retries):
+    for _ in range(_KEYGEN_RETRIES):
         if profile.uses_gadget:
             gadget = gen_trap(ring, profile.n, profile.m, rng)
             A = gadget.A
@@ -129,7 +133,7 @@ def gen(profile: ParameterProfile, rng: np.random.Generator, max_retries: int = 
             continue
         if np.array_equal(s0, s_bits) and np.array_equal(e0, e):
             return key
-    raise KeyGenFailure(f"no invertible key in {max_retries} draws for {profile.name}")
+    raise KeyGenFailure(f"no invertible key in {_KEYGEN_RETRIES} draws for {profile.name}")
 
 
 # -- densities and the public check ----------------------------------------

@@ -361,7 +361,8 @@ def cmd_connect(args) -> int:
 
 def cmd_profiles(args) -> int:
     profiles = [_profile(args.name)] if args.name else PROFILES.values()
-    return _emit([p.as_dict() for p in profiles], None)
+    _emit([p.as_dict() for p in profiles], None)
+    return 0
 
 
 # -- parser ------------------------------------------------------------------
@@ -405,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--n-in", type=int, default=None)
-    p.add_argument("--n-out", type=int, default=None)
+    p.add_argument("--n-in", type=_positive_int, default=None)
+    p.add_argument("--n-out", type=_positive_int, default=None)
     p.add_argument("--rate", type=_rate, default=0.5, help="min-entropy rate in [0, 1] for the default output length")
     p.set_defaults(fn=cmd_extract)
 
@@ -442,7 +443,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: exit 2 on a usage error, 0 after --help
+        return exc.code
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -9,8 +9,7 @@ vectors with every coordinate in the width-B band.
 Densities and distances are computed by exact summation; there is no tail
 approximation anywhere, and a distance between products is taken
 coordinate by coordinate wherever the sum factorises.  Sampling is exact
-inverse-CDF over the enumerated support, with an exact rejection sampler
-(two-sided geometric proposal) for widths too large to enumerate.
+inverse-CDF over the enumerated support, which has at most q + 1 entries.
 """
 
 from __future__ import annotations
@@ -22,12 +21,8 @@ import numpy as np
 
 from .modq import ModRing, SizeGuardError
 
-# Largest support table we will enumerate, and largest q^m domain for
-# an enumerated product density.  Sampling switches to rejection beyond
-# width 1e4 regardless, keeping draws cheap for wide distributions.
-_MAX_SUPPORT = 5_000_000
+# largest q^m domain for an enumerated product density
 _MAX_DOMAIN = 10_000_000
-_MAX_CDF_WIDTH = 10_000
 
 
 @dataclass(frozen=True)
@@ -49,11 +44,6 @@ class TruncGaussian:
             return
         q = self.ring.q
         L = min(int(math.floor(self.B)), q // 2)
-        if 2 * L + 1 > _MAX_SUPPORT:
-            raise SizeGuardError(
-                f"support of size {2 * L + 1} exceeds enumeration guard; "
-                "only sampling is available at this width"
-            )
         support_c = np.arange(-L, L + 1, dtype=np.int64)
         if q % 2 == 0 and self.B >= q // 2:
             # (-q/2, q/2] keeps +q/2 but not -q/2
@@ -107,9 +97,6 @@ class TruncGaussian:
 
     def sample_vec(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m i.i.d. coordinates, as residues in [0, q)."""
-        if self.B > _MAX_CDF_WIDTH and self.B < self.ring.q / 2:
-            out = np.array([self._sample_rejection(rng) for _ in range(m)])
-            return np.mod(out, self.ring.q)
         self._ensure_table()
         u = rng.random(m)
         idx = np.searchsorted(self._table["cdf"], u)
@@ -117,26 +104,6 @@ class TruncGaussian:
 
     def sample(self, rng: np.random.Generator) -> int:
         return int(self.sample_vec(rng, 1)[0])
-
-    def _sample_rejection(self, rng: np.random.Generator) -> int:
-        # Exact sampler for huge widths: two-sided geometric proposal with
-        # the standard Gaussian acceptance ratio, then truncation to the
-        # width-B band.  Requires B < q/2 so the band does not wrap.
-        if self.B >= self.ring.q / 2:
-            raise SizeGuardError("rejection sampler requires B < q/2")
-        sigma2 = self.B**2 / (2 * math.pi)
-        t = math.floor(math.sqrt(sigma2)) + 1
-        p_geo = 1.0 - math.exp(-1.0 / t)
-        L = int(math.floor(self.B))
-        while True:
-            g = int(rng.geometric(p_geo)) - 1
-            sign = 1 if rng.random() < 0.5 else -1
-            if g == 0 and sign == -1:
-                continue
-            y = sign * g
-            accept = math.exp(-((abs(y) - sigma2 / t) ** 2) / (2 * sigma2))
-            if rng.random() < accept and abs(y) <= L:
-                return y
 
 
 # -- distances -----------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Exact arithmetic over Z_q: centered representatives, norms, bit maps,
-and the powers-of-two gadget matrix.
+"""Exact arithmetic over Z_q, 2 <= q <= MAX_Q = 4096: centered
+representatives, norms, bit maps, and the powers-of-two gadget matrix.
 
 Every residue array is int64 in [0, q).  It is reduced only where
 arithmetic leaves that range (sums, products, ``centered``) and checked
@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A dot product of residues must not overflow int64.  For q above this
-# threshold matmul splits one factor into 16-bit digits.
-_DIRECT_MATMUL_Q = 1 << 20
-# the largest modulus ModRing accepts; profiles above it are print-only
-MAX_Q = 1 << 31
+# The largest modulus ModRing accepts, and the one statement of which
+# moduli run: the trapdoor decode enumerates all q codewords of a block,
+# and every dot product of residues stays far inside int64.  Profiles
+# above it are print-only.
+MAX_Q = 4096
 
 
 def coord_bits(q: int) -> int:
@@ -40,13 +40,13 @@ class SizeGuardError(Exception):
 
 @dataclass(frozen=True)
 class ModRing:
-    """The ring Z_q.  q >= 2; prime in all claw-free uses."""
+    """The ring Z_q, 2 <= q <= MAX_Q; prime in all claw-free uses."""
 
     q: int
 
     def __post_init__(self):
         if not (2 <= self.q <= MAX_Q):
-            raise ValueError(f"modulus must be in [2, 2^31], got {self.q}")
+            raise ValueError(f"modulus must be in [2, {MAX_Q}], got {self.q}")
 
     @property
     def coord_bits(self) -> int:
@@ -72,15 +72,9 @@ class ModRing:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
 
     def matmul(self, a, b) -> np.ndarray:
-        """a @ b mod q, exact for q <= 2^31 if a is canonical and |b| < q."""
-        if self.q <= _DIRECT_MATMUL_Q:
-            return np.mod(a @ b, self.q)
-        # split b into 16-bit digits so partial products stay below 2^47
-        # (the shift is arithmetic, so signed b splits exactly too)
-        b = np.asarray(b, dtype=np.int64)
-        lo = b & 0xFFFF
-        hi = b >> 16
-        return np.mod(np.mod(a @ lo, self.q) + (np.mod(a @ hi, self.q) << 16), self.q)
+        """a @ b mod q for a canonical and |b| < q: every partial sum is
+        below inner * q^2 <= inner * 2^24, exact in int64."""
+        return np.mod(a @ b, self.q)
 
 
 def residue_grid(q: int, n: int) -> np.ndarray:

@@ -42,6 +42,7 @@ from .clawfree import (
     claw_from_image,
     gen,
     in_good_set,
+    public_key_to_json,
     wilson_interval,
 )
 from .devices import SimplifiedDevice, honest_qubit_device
@@ -188,8 +189,6 @@ class _Budget:
 
 
 def _key_digest(key: KeyPair) -> str:
-    from .clawfree import public_key_to_json
-
     blob = canonical_json(public_key_to_json(key.public))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -291,10 +290,10 @@ def _exact_int64(v) -> np.ndarray:
     return out
 
 
-def _play_round(key: KeyPair, prover, rng: np.random.Generator, budget: _Budget, c: int):
+def _play_round(key: KeyPair, prover, rng: np.random.Generator, c: int):
     """One round of the verifier's rule once the challenge c is drawn (c
     stays on the verifier until the image is in).  Returns (y, resamples,
-    answer record, W).
+    answer record, W, whether the grading coin was drawn).
 
     A malformed sample scores 0 before any answer is asked for; an image
     that never inverts scores 0 whatever the answer.  A preimage answer is
@@ -303,25 +302,24 @@ def _play_round(key: KeyPair, prover, rng: np.random.Generator, budget: _Budget,
     try:
         y, claw, resamples = _request_sample(key, prover)
     except MalformedAnswer as exc:
-        return None, 0, {"malformed": str(exc)}, 0
+        return None, 0, {"malformed": str(exc)}, 0, False
     try:
         answer = _validated_answer(key, prover, c)
     except MalformedAnswer as exc:
-        return y, resamples, {"malformed": str(exc)}, 0
+        return y, resamples, {"malformed": str(exc)}, 0, False
     if c == 1:
         bbit, x = answer
         w = chk(key.public, bbit, x, y) if claw is not None else 0
-        return y, resamples, {"b": bbit, "x": x.tolist()}, w
+        return y, resamples, {"b": bbit, "x": x.tolist()}, w, False
     u, d = answer
     record = {"u": u, "d": d.tolist()}
     if claw is None:
-        return y, resamples, record, 0
+        return y, resamples, record, 0, False
     x0, x1 = claw
     ring = key.ring
     if in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d):
-        return y, resamples, record, int(u == claw_equation_bit(ring, x0, x1, d))
-    budget.draw(1.0)
-    return y, resamples, record, int(rng.integers(0, 2))
+        return y, resamples, record, int(u == claw_equation_bit(ring, x0, x1, d)), False
+    return y, resamples, record, int(rng.integers(0, 2)), True
 
 
 def run_protocol1(
@@ -348,7 +346,9 @@ def run_protocol1(
             budget.draw(1.0)
         else:
             c = 1
-        y, resamples, answer_rec, w = _play_round(key, prover, rng, budget, c)
+        y, resamples, answer_rec, w, coin = _play_round(key, prover, rng, c)
+        if coin:
+            budget.draw(1.0)
         if is_test:
             o = w
         else:
@@ -503,12 +503,11 @@ def single_round_test(
     wins = 0
     eq = [0, 0]
     pre = [0, 0]
-    budget = _Budget(profile)  # the grading coin draws on it; never reported
     for _ in range(trials):
         key = gen(profile, rng)
         _give_key(prover, key)
         c = int(rng.integers(0, 2))
-        w = _play_round(key, prover, rng, budget, c)[3]
+        w = _play_round(key, prover, rng, c)[3]
         if c == 0:
             eq[w] += 1
         else:

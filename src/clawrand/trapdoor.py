@@ -44,9 +44,6 @@ import numpy as np
 from .gaussians import TruncGaussian
 from .modq import ModRing, SizeGuardError, gadget_matrix, mat_from_json, mat_to_json, residue_grid
 
-# Full codeword enumeration per block is used for the decode fallback only
-# when q is small enough to tabulate.
-_ENUM_Q = 4096
 # A modulus with at most this many distinct blocks (q^k) keeps a table of
 # block decodes, filled as blocks are met.
 _TABLE_BLOCKS = 1 << 16
@@ -150,11 +147,11 @@ def _decode_data(ring: ModRing) -> dict:
             v -= (D[:, j] @ Q[:, i] / (Q[:, i] @ Q[:, i])) * Q[:, i]
         Q[:, j] = v
     data = {"k": k, "D": D, "Q": Q, "Qnorm2": (Q * Q).sum(axis=0)}
-    if q <= _ENUM_Q:
-        g = gadget_matrix(ring, 1)[:, 0]
-        data["codebook"] = ring.reduce(np.outer(np.arange(q, dtype=np.int64), g))
-        # squared centered residue of r mod q, for 0 <= r < 3q
-        data["sq"] = (ring.centered(np.arange(3 * q, dtype=np.int64)) ** 2).astype(np.int32)
+    # every codeword t*g mod q of a block, t in Z_q
+    g = gadget_matrix(ring, 1)[:, 0]
+    data["codebook"] = ring.reduce(np.outer(np.arange(q, dtype=np.int64), g))
+    # squared centered residue of r mod q, for 0 <= r < 3q
+    data["sq"] = (ring.centered(np.arange(3 * q, dtype=np.int64)) ** 2).astype(np.int32)
     if q**k <= _TABLE_BLOCKS:
         # one row per block of residues, indexed in residue_grid order:
         # _block_rows' row for that block, or -1 until it is first met
@@ -228,8 +225,6 @@ def invert(key: TrapdoorKey, y, max_norm: float | None = None):
     e = ring.centered(y - ring.matmul(key.A, s))
     if max_norm is None or math.sqrt(float((e * e).sum())) <= max_norm:
         return s, e
-    if "codebook" not in data:
-        raise DecodeFailure("residual norm exceeds bound (no enumeration at this q)")
     ranked = rows[:, 1:] if "table" in data else _rank_codewords(ring, data, ring.centered(r))
     s = _fallback_search(key, data, ranked, e, s, max_norm)
     if s is None:

@@ -29,6 +29,9 @@ log = logging.getLogger("clawrand.wire")
 # Longest frame accepted, newline included; the largest legitimate one, a
 # desk-protocol key, is ~12 KB.
 MAX_LINE_BYTES = 1 << 20
+# Seconds a socket read or write may block: a silent or stalled peer ends
+# the session with WireError instead of hanging it.
+_SOCKET_TIMEOUT = 60.0
 
 
 class WireError(SessionAbort):
@@ -45,6 +48,7 @@ class LineChannel:
 
     @classmethod
     def from_socket(cls, sock: socket.socket) -> "LineChannel":
+        sock.settimeout(_SOCKET_TIMEOUT)
         return cls(sock.makefile("rb"), sock.makefile("wb"))
 
     def send(self, obj: dict):

@@ -31,7 +31,7 @@ from clawrand.clawfree import (
     secret_mask,
 )
 from clawrand.gaussians import shifted_hellinger_bound
-from clawrand.modq import ModRing, vec_to_json
+from clawrand.modq import MAX_Q, ModRing, vec_to_json
 from clawrand.profiles import get_profile
 from clawrand.rngstream import substream
 from clawrand.trapdoor import DecodeFailure
@@ -514,10 +514,22 @@ def _tamper_trapdoor(obj, key):
     obj["trapdoor"] = keypair_to_json(other)["trapdoor"]
 
 
+def _tamper_q(obj, key):
+    # a modulus over the cap is refused before anything else is read
+    for part in ("A", "u"):
+        obj["public"][part]["q"] = MAX_Q + 1
+
+
 @pytest.mark.parametrize(
     "tamper, message",
-    [(_tamper_s, "binary"), (_tamper_e, "B_V"), (_tamper_u, "A\\*s \\+ e"), (_tamper_trapdoor, "different A")],
-    ids=["s", "e", "u", "trapdoor"],
+    [
+        (_tamper_s, "binary"),
+        (_tamper_e, "B_V"),
+        (_tamper_u, "A\\*s \\+ e"),
+        (_tamper_trapdoor, "different A"),
+        (_tamper_q, "modulus must be in"),
+    ],
+    ids=["s", "e", "u", "trapdoor", "q"],
 )
 def test_keypair_from_json_rejects_tampered_field(desk_key, tamper, message):
     obj = keypair_to_json(desk_key)

@@ -89,19 +89,6 @@ def test_sampler_matches_density_chisquare():
     assert stat.pvalue > 0.001
 
 
-def test_rejection_sampler_agrees_with_table():
-    # width large enough to exercise the geometric-proposal path
-    d = dist(2**25 + 35, 3.0)
-    rng = np.random.default_rng(5)
-    draws = np.array([d._sample_rejection(rng) for _ in range(20000)])
-    table = dist(101, 3.0)  # same support weights on a small ring
-    ring = ModRing(101)
-    counts = np.bincount(ring.reduce(draws), minlength=101)
-    expected = table.density_table() * draws.size
-    keep = expected > 0
-    assert scipy.stats.chisquare(counts[keep], expected[keep]).pvalue > 0.001
-
-
 def test_hellinger_zero_shift():
     assert hellinger_sq(dist(7, 2.0), [0]) == pytest.approx(0.0, abs=1e-12)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawrand.modq import (
+    MAX_Q,
     ModRing,
     bit_decode,
     bit_encode,
@@ -87,7 +88,8 @@ def test_gadget_matrix_examples():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    q=st.sampled_from([3, 5, 13, 61, 2**20 + 7, 2**31 - 1]),
+    # 4093 is the largest prime under the cap, 4096 the cap itself
+    q=st.sampled_from([3, 5, 13, 61, 4093, MAX_Q]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_matmul_matches_bigint_oracle(q, seed):
@@ -125,10 +127,13 @@ def test_matrix_json_rejects_bad_entries():
         mat_from_json({"q": 5, "rows": 1, "cols": 2, "data": [1, 7]})
     with pytest.raises(ValueError):
         mat_from_json({"q": 5, "rows": 2, "cols": 2, "data": [1, 2, 3]})
+    with pytest.raises(ValueError):
+        mat_from_json({"q": MAX_Q + 1, "rows": 1, "cols": 2, "data": [1, 2]})
 
 
 def test_ring_validates_modulus():
+    assert ModRing(MAX_Q).q == 4096
     with pytest.raises(ValueError):
         ModRing(1)
     with pytest.raises(ValueError):
-        ModRing(2**31 + 1)
+        ModRing(MAX_Q + 1)

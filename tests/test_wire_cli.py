@@ -124,6 +124,38 @@ def test_dead_client_aborts_session():
     assert holder["outcome"] == "aborted"
 
 
+def test_silent_peer_times_out(monkeypatch):
+    import socket as socketlib
+
+    monkeypatch.setattr(wire, "_SOCKET_TIMEOUT", 0.2)
+    holder = {}
+    ready = threading.Event()
+
+    def cb(port):
+        holder["port"] = port
+        ready.set()
+
+    def server():
+        try:
+            wire.serve_tcp("127.0.0.1", 0, get_profile("micro"), "protocol1", 1, 5, cb)
+            holder["outcome"] = "completed"
+        except wire.WireError as exc:
+            holder["outcome"] = str(exc)
+
+    th = threading.Thread(target=server, daemon=True)
+    th.start()
+    assert ready.wait(10)
+    # a client that connects and sends nothing
+    with socketlib.create_connection(("127.0.0.1", holder["port"])):
+        th.join(10)
+        assert not th.is_alive()
+    assert "timed out" in holder["outcome"]
+    # and a server that accepts the connection but never answers
+    with socketlib.create_server(("127.0.0.1", 0)) as srv:
+        with pytest.raises(wire.WireError, match="timed out"):
+            wire.connect_tcp("127.0.0.1", srv.getsockname()[1], "classical-committed", 1)
+
+
 def test_socket_protocol2():
     profile = get_profile("micro", N=80, p_test=0.3)
     out = run_socket_pair(profile, "protocol2", "device-honest", 5, 80)
@@ -297,6 +329,66 @@ def test_cli_exit_codes(tmp_path):
         assert r.returncode == 2 and r.stderr.startswith("configuration error:"), (argv, r.stderr)
         assert r.stdout == "", argv
     assert run_cli("analyze", "--what", "rate", "--profile", "full-scale").returncode == 0
+
+
+_FULL = ["--profile", "full-scale"]
+_EXTRACT = ["extract", "--output", "{tmp}/o.hex"]
+_HEX = [*_EXTRACT, "--input", "{tmp}/in.hex"]  # 512 input bits
+
+CLI_MATRIX = [
+    # every subcommand that takes a profile, on the print-only full-scale
+    (["keygen", *_FULL, "--public-out", "{tmp}/k.json"], 2),
+    (["run", *_FULL], 2),
+    (["run", *_FULL, "--mode", "protocol2", "--prover", "device-honest"], 2),
+    (["run", *_FULL, "--mode", "single-round"], 2),
+    (["analyze", *_FULL, "--what", "moderate"], 2),
+    (["analyze", *_FULL, "--what", "hardcore"], 2),
+    (["analyze", *_FULL, "--what", "radius"], 2),
+    (["analyze", *_FULL, "--what", "all"], 2),
+    (["analyze", *_FULL, "--what", "lambda"], 0),
+    (["analyze", *_FULL, "--what", "rate"], 0),
+    (["serve", *_FULL, "--transport", "stdio"], 2),
+    (["serve", *_FULL, "--port", "0"], 2),
+    (["profiles", "--name", "full-scale"], 0),
+    # provers from the other protocol's catalog, or from none
+    (["run", "--mode", "protocol1", "--prover", "device-honest"], 2),
+    (["run", "--mode", "protocol2", "--prover", "ideal"], 2),
+    (["run", "--mode", "single-round", "--prover", "nope"], 2),
+    # out-of-range seed, port and rate
+    (["run", "--seed", "-1"], 2),
+    (["run", "--seed", hex(1 << 64)], 2),
+    (["keygen", "--seed", "x", "--public-out", "{tmp}/k.json"], 2),
+    (["serve", "--port", "65536"], 2),
+    (["connect", "--port", "-1"], 2),
+    ([*_HEX, "--rate", "-0.5"], 2),
+    ([*_HEX, "--rate", "1.5"], 2),
+    ([*_HEX, "--rate", "nan"], 2),
+    # extract input that is missing or not hex
+    ([*_EXTRACT, "--input", "{tmp}/missing.hex"], 3),
+    ([*_EXTRACT, "--input", "{tmp}/bad.hex"], 3),
+    # negative, zero and oversized lengths
+    ([*_HEX, "--n-in", "-8"], 2),
+    ([*_HEX, "--n-in", "0"], 2),
+    ([*_HEX, "--n-in", "513"], 2),
+    ([*_HEX, "--n-out", "-8"], 2),
+    ([*_HEX, "--n-out", "0"], 2),
+    ([*_HEX, "--n-out", "513"], 2),
+    ([*_HEX, "--n-in", "64", "--n-out", "65"], 2),
+    ([*_HEX, "--n-in", "64", "--n-out", "32"], 0),
+    (["analyze", "--what", "radius", "--profile", "micro"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", CLI_MATRIX, ids=[" ".join(a) for a, _ in CLI_MATRIX])
+def test_cli_exit_code_matrix(tmp_path, capsys, argv, code):
+    # in-process: every case returns its exit code, no exception escapes
+    from clawrand import cli
+
+    (tmp_path / "in.hex").write_text("a5" * 64 + "\n")
+    (tmp_path / "bad.hex").write_text("zz not hex\n")
+    assert cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+    if code:
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_serve_stdio_pipe(tmp_path):
