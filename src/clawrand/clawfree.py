@@ -234,18 +234,6 @@ def in_claw_good_set(key: KeyPair, b: int, x, d) -> bool:
     return in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d)
 
 
-def image_good_set(key: KeyPair, y):
-    """Predicate on equation vectors for an image y: membership in the
-    intersection good set of y's claw, via one trapdoor decode."""
-    x0, x1 = claw_from_image(key, y)
-    ring = key.ring
-
-    def member(d) -> bool:
-        return in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d)
-
-    return member
-
-
 def classify_hardcore(key: KeyPair, b: int, x, d, c: int) -> str:
     """Place a candidate tuple: 'correct' if c is the claw parity along a
     good d, 'flipped' if it is the complement, 'excluded' otherwise."""
@@ -383,12 +371,9 @@ def parity_tv(ring: ModRing, C, dhat, v=None) -> float:
     """TV distance of (C*s, dhat.s) from uniform over Z_q^ell x {0,1} for a
     uniform binary secret s; with v given, the distance of the conditional
     parity given C*s = v from a fair bit."""
-    counts = parity_joint_counts(ring, C, dhat).astype(float)
-    total = counts.sum()
     if v is None:
-        probs = counts / total
-        uni = 1.0 / counts.size
-        return float(0.5 * np.abs(probs - uni).sum())
+        return float(parity_tv_many(ring, C, [dhat])[0])
+    counts = parity_joint_counts(ring, C, dhat).astype(float)
     v = tuple(int(t) % ring.q for t in np.atleast_1d(v))
     pair = counts[v]
     if pair.sum() == 0:

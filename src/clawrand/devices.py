@@ -339,37 +339,3 @@ def fan_bound(t: float, v: float, n: int) -> float:
     """exp(-(t/2) asinh(t / (2 v^2)) n): Bennett-style supermartingale tail
     bound with conditional variance v^2 per step."""
     return math.exp(-(t / 2.0) * math.asinh(t / (2.0 * v * v)) * n)
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def _cmat_to_json(M: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
-
-
-def _cmat_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
-def device_to_json(dev: SimplifiedDevice) -> dict:
-    return {
-        "dim": dev.dim,
-        "phi": [_cmat_to_json(m) for m in dev.phi],
-        "Pi0": [_cmat_to_json(m) for m in dev.Pi0],
-        "Pi1": [_cmat_to_json(m) for m in dev.Pi1],
-        "M0": [_cmat_to_json(m) for m in dev.M0],
-        "K0": [_cmat_to_json(m) for m in dev.K0],
-    }
-
-
-def device_from_json(obj: dict) -> SimplifiedDevice:
-    dev = SimplifiedDevice(
-        phi=np.array([_cmat_from_json(m) for m in obj["phi"]]),
-        Pi0=np.array([_cmat_from_json(m) for m in obj["Pi0"]]),
-        Pi1=np.array([_cmat_from_json(m) for m in obj["Pi1"]]),
-        M0=np.array([_cmat_from_json(m) for m in obj["M0"]]),
-        K0=np.array([_cmat_from_json(m) for m in obj["K0"]]),
-    )
-    dev.validate()
-    return dev

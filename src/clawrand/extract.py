@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_DENSE_LIMIT = 4_000_000  # n_in * n_out above this switches to FFT convolution
-
 
 @dataclass(frozen=True)
 class ToeplitzSeed:
@@ -27,6 +25,8 @@ class ToeplitzSeed:
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=np.int64)
+        if self.n_out < 1:
+            raise ValueError(f"output length must be at least 1, got {self.n_out}")
         if self.n_out > self.n_in:
             raise ValueError("output length cannot exceed input length")
         if bits.shape != (self.n_in + self.n_out - 1,):
@@ -48,14 +48,13 @@ class ToeplitzSeed:
 
 
 def extract(seed: ToeplitzSeed, bits_in) -> np.ndarray:
-    """T @ x over GF(2)."""
+    """T @ x over GF(2).  T is Toeplitz, so the product is a convolution of
+    the seed with x; it is computed by FFT at every size."""
     x = np.asarray(bits_in, dtype=np.int64)
     if x.shape != (seed.n_in,):
         raise ValueError(f"input must have {seed.n_in} bits, got {x.shape}")
     if np.any((x != 0) & (x != 1)):
         raise ValueError("input must be binary")
-    if seed.n_in * seed.n_out <= _DENSE_LIMIT:
-        return (seed.matrix() @ x) & 1
     # out[i] = sum_j seed[i - j + n_in - 1] x[j] = conv(seed, x)[i + n_in - 1];
     # FFT convolution is exact here: coefficients are bounded by n_in, far
     # below the 2^53 integer ceiling of binary64

@@ -19,10 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modq import ModRing, SizeGuardError
-
-# largest q^m domain for an enumerated product density
-_MAX_DOMAIN = 10_000_000
+from .modq import ModRing
 
 
 @dataclass(frozen=True)
@@ -55,13 +52,6 @@ class TruncGaussian:
         self._table["support_centered"] = support_c
         self._table["density"] = dens
         self._table["cdf"] = np.cumsum(weights / tau)
-        self._table["tau"] = tau
-
-    @property
-    def normalizer(self) -> float:
-        """tau: the sum of the unnormalized weights over the support."""
-        self._ensure_table()
-        return self._table["tau"]
 
     def support(self) -> np.ndarray:
         """Residues of the support, as centered representatives."""
@@ -109,19 +99,6 @@ class TruncGaussian:
 # -- distances -----------------------------------------------------------
 
 
-def enumerate_product_density(dist: TruncGaussian, m: int) -> np.ndarray:
-    """Flat array of the product density over all of Z_q^m, index mixed-radix
-    with the first coordinate most significant.  Guarded at q^m <= 1e7."""
-    q = dist.ring.q
-    if q**m > _MAX_DOMAIN:
-        raise SizeGuardError(f"domain size q^m = {q**m} exceeds {_MAX_DOMAIN}")
-    d = dist.density_table()
-    out = np.array([1.0])
-    for _ in range(m):
-        out = np.multiply.outer(out, d).reshape(-1)
-    return out
-
-
 def hellinger_sq(dist: TruncGaussian, e) -> float:
     """Squared Hellinger distance between the m-fold product and its shift
     by the residue vector e.
@@ -135,15 +112,6 @@ def hellinger_sq(dist: TruncGaussian, e) -> float:
     q = d.size
     h = 0.5 * ((d - d[np.mod(np.arange(q) - e[:, None], q)]) ** 2).sum(axis=1)
     return float(1.0 - np.prod(1.0 - h))
-
-
-def tv_distance(f1, f2) -> float:
-    """Total variation distance between two densities on the same domain."""
-    f1 = np.asarray(f1, dtype=float)
-    f2 = np.asarray(f2, dtype=float)
-    if f1.shape != f2.shape:
-        raise ValueError(f"domain mismatch: {f1.shape} vs {f2.shape}")
-    return float(0.5 * np.abs(f1 - f2).sum())
 
 
 def shifted_hellinger_bound(m: int, e_norm: float, B: float) -> float:

@@ -95,20 +95,6 @@ def bit_encode(ring: ModRing, x) -> np.ndarray:
     return ((x[:, None] >> shifts) & 1).reshape(-1)
 
 
-def bit_decode(ring: ModRing, bits) -> np.ndarray:
-    """Inverse of bit_encode.  Raises ValueError off the encoding's range."""
-    bits = np.asarray(bits, dtype=np.int64)
-    k = ring.coord_bits
-    if bits.ndim != 1 or bits.size % k != 0:
-        raise ValueError(f"bit string length {bits.size} is not a multiple of {k}")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bit string has entries outside {0,1}")
-    vals = bits.reshape(-1, k) @ (1 << np.arange(k, dtype=np.int64))
-    if np.any(vals >= ring.q):
-        raise ValueError("bit pattern decodes to a value >= q")
-    return vals
-
-
 def gadget_matrix(ring: ModRing, n: int) -> np.ndarray:
     """Block-diagonal (n*k, n) matrix with per-coordinate columns (1,2,4,...)."""
     k = ring.coord_bits

@@ -14,7 +14,6 @@ from clawrand.clawfree import (
     density_secret,
     gen,
     hardcore_game,
-    image_good_set,
     in_claw_good_set,
     in_good_set,
     inv,
@@ -299,15 +298,11 @@ def bit_diff_blocks(ring, b, x):
 def test_claw_good_set_symmetric_micro(micro_key):
     key = micro_key
     prof = key.profile
-    ring = key.ring
     for x0 in all_points(prof.q, prof.n):
         x1 = claw_partner(key, 0, x0)
-        y = ring.matmul(key.public.A, x0)  # zero-noise branch-0 image
-        member = image_good_set(key, y)
         for d_int in range(2**prof.w):
             d = np.array([(d_int >> i) & 1 for i in range(prof.w)])
             assert in_claw_good_set(key, 0, x0, d) == in_claw_good_set(key, 1, x1, d)
-            assert member(d) == in_claw_good_set(key, 0, x0, d)
 
 
 def test_classify_hardcore(desk_key):

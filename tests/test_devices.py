@@ -8,8 +8,6 @@ from clawrand.devices import (
     azuma_bound,
     bad_subspace,
     branch_weight,
-    device_from_json,
-    device_to_json,
     fan_bound,
     honest_qubit_device,
     jordan_angles,
@@ -262,15 +260,6 @@ def test_tail_bounds():
     assert fan_bound(0.2, 0.1, 50) == pytest.approx(
         math.exp(-0.1 * math.asinh(0.2 / 0.02) * 50)
     )
-
-
-def test_device_json_roundtrip():
-    dev = honest_qubit_device()
-    obj = device_to_json(dev)
-    assert obj["dim"] == 2
-    dev2 = device_from_json(obj)
-    assert np.abs(dev2.phi - dev.phi).max() < 1e-12
-    assert overlap(dev2) == pytest.approx(overlap(dev))
 
 
 def test_operator_norm():

@@ -23,6 +23,9 @@ def test_seed_validation():
         ToeplitzSeed(np.ones(11, dtype=np.int64), 4, 8)
     with pytest.raises(ValueError):
         ToeplitzSeed(np.full(11, 2), 8, 4)
+    for n_out in (0, -1):
+        with pytest.raises(ValueError, match="output length must be at least 1"):
+            ToeplitzSeed.random(np.random.default_rng(0), 5, n_out)
 
 
 def test_zero_input_and_identity():
@@ -61,15 +64,15 @@ def test_two_universality_exhaustive_small():
         assert collisions <= seeds.shape[0] // 2**n_out
 
 
-def test_fft_path_matches_dense():
+def test_extract_matches_matrix_reference():
+    # every input length up to 64, the honest-desk session shape, and a
+    # large one
     rng = np.random.default_rng(1)
-    n_in, n_out = 3000, 1500  # product above the dense limit
-    assert n_in * n_out > 4_000_000
-    seed = ToeplitzSeed.random(rng, n_in, n_out)
-    x = rng.integers(0, 2, size=n_in)
-    fft_out = extract(seed, x)
-    dense_out = (seed.matrix() @ x) & 1
-    assert np.array_equal(fft_out, dense_out)
+    shapes = [(n, m) for n in range(1, 65) for m in sorted({1, max(1, n // 2), n})]
+    for n_in, n_out in shapes + [(949, 474), (3000, 1500)]:
+        seed = ToeplitzSeed.random(rng, n_in, n_out)
+        x = rng.integers(0, 2, size=n_in)
+        assert np.array_equal(extract(seed, x), (seed.matrix() @ x) & 1), (n_in, n_out)
 
 
 def test_extraction_length_rule():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from clawrand.modq import (
     MAX_Q,
     ModRing,
-    bit_decode,
     bit_encode,
     canonical_json,
     gadget_matrix,
@@ -65,17 +64,7 @@ def test_bit_encode_injective_and_invertible(q, n):
         key = tuple(bits)
         assert key not in seen
         seen.add(key)
-        assert np.array_equal(bit_decode(ring, bits), x)
-
-
-def test_bit_decode_rejects_out_of_range():
-    # 3 bits can encode up to 7; values >= q must fail
-    with pytest.raises(ValueError):
-        bit_decode(ModRing(5), [1, 0, 1])  # decodes to 5
-    with pytest.raises(ValueError):
-        bit_decode(ModRing(5), [1, 1])  # wrong length
-    with pytest.raises(ValueError):
-        bit_decode(ModRing(5), [2, 0, 0])
+        assert np.array_equal(bits.reshape(n, -1) @ (1 << np.arange(ring.coord_bits)), x)
 
 
 def test_gadget_matrix_examples():

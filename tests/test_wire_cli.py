@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -266,69 +267,17 @@ def test_cli_extract_roundtrip(tmp_path):
 
 
 def test_cli_exit_codes(tmp_path):
-    assert run_cli("run", "--profile", "nope").returncode == 2
-    assert run_cli("keygen", "--profile", "full-scale", "--public-out", "x").returncode == 2
-    assert run_cli("extract", "--input", str(tmp_path / "missing.hex"),
-                   "--output", str(tmp_path / "o.hex")).returncode == 3
+    # the entry point's own exit status, one case per code; every other
+    # case runs in-process in CLI_MATRIX
+    assert run_cli("analyze", "--what", "rate", "--profile", "full-scale").returncode == 0
+    r = run_cli("analyze", "--what", "all", "--profile", "full-scale")
+    assert r.returncode == 2 and r.stderr.startswith("configuration error:") and r.stdout == ""
     (tmp_path / "bad.hex").write_text("zz not hex\n")
     r = run_cli("extract", "--input", str(tmp_path / "bad.hex"), "--output", str(tmp_path / "o.hex"))
     assert r.returncode == 3 and r.stderr.startswith("i/o error:") and "Traceback" not in r.stderr
     r = run_cli("run", "--mode", "protocol1", "--prover", "qsim-micro",
                 "--profile", "desk-small", "--rounds", "5", "--seed", "1")
     assert r.returncode == 5  # state-vector guard at desk scale
-    # degenerate counts and provers of the other protocol are configuration errors
-    for argv in (
-        ["run", "--mode", "protocol1", "--rounds", "0"],
-        ["run", "--mode", "protocol1", "--rounds", "-3"],
-        ["run", "--mode", "single-round", "--trials", "0"],
-        ["run", "--mode", "protocol1", "--prover", "device-honest"],
-        ["serve", "--transport", "stdio", "--rounds", "0"],
-    ):
-        assert run_cli(*argv, "--profile", "micro").returncode == 2, argv
-    # out-of-range ports and unknown profile names are configuration errors
-    for argv in (
-        ["serve", "--port", "70000"],
-        ["serve", "--port", "-1"],
-        ["connect", "--port", "65536"],
-        ["connect", "--port", "-1"],
-        ["profiles", "--name", "nope"],
-    ):
-        r = run_cli(*argv)
-        assert r.returncode == 2 and "Traceback" not in r.stderr, (argv, r.stderr)
-    # seeds outside [0, 2^64) and extraction rates outside [0, 1], NaN
-    # and inf included, are configuration errors
-    hexfile = tmp_path / "in.hex"
-    hexfile.write_text("ff" * 64 + "\n")
-    extract = ["extract", "--input", str(hexfile), "--output", str(tmp_path / "o.hex")]
-    for argv in (
-        ["run", "--seed", "-1"],
-        ["run", "--seed", "0x1ffffffffffffffff"],
-        ["keygen", "--seed", "-1", "--public-out", str(tmp_path / "k.json")],
-        ["keygen", "--seed", str(1 << 64), "--public-out", str(tmp_path / "k.json")],
-        ["analyze", "--what", "rate", "--seed", "-1"],
-        ["analyze", "--what", "rate", "--seed", "0x1ffffffffffffffff"],
-        [*extract, "--rate", "nan"],
-        [*extract, "--rate", "inf"],
-        [*extract, "--rate", "1e308"],
-    ):
-        r = run_cli(*argv)
-        assert r.returncode == 2 and "Traceback" not in r.stderr, (argv, r.stderr)
-    assert run_cli("run", "--mode", "single-round", "--trials", "1",
-                   "--seed", hex((1 << 64) - 1)).returncode == 0
-    # a print-only profile is refused by every command that would compute
-    # in Z_q; serve refuses before it listens or sends a frame
-    for argv in (
-        ["analyze", "--what", "moderate"],
-        ["analyze", "--what", "hardcore"],
-        ["analyze", "--what", "radius"],
-        ["analyze", "--what", "all"],
-        ["serve", "--transport", "stdio"],
-        ["serve", "--transport", "tcp", "--port", "0"],
-    ):
-        r = run_cli(*argv, "--profile", "full-scale")
-        assert r.returncode == 2 and r.stderr.startswith("configuration error:"), (argv, r.stderr)
-        assert r.stdout == "", argv
-    assert run_cli("analyze", "--what", "rate", "--profile", "full-scale").returncode == 0
 
 
 _FULL = ["--profile", "full-scale"]
@@ -376,19 +325,46 @@ CLI_MATRIX = [
     ([*_HEX, "--n-in", "64", "--n-out", "65"], 2),
     ([*_HEX, "--n-in", "64", "--n-out", "32"], 0),
     (["analyze", "--what", "radius", "--profile", "micro"], 0),
+    # unknown profile names and degenerate counts
+    (["run", "--profile", "nope"], 2),
+    (["profiles", "--name", "nope"], 2),
+    (["run", "--mode", "protocol1", "--rounds", "0"], 2),
+    (["run", "--mode", "protocol1", "--rounds", "-3"], 2),
+    (["run", "--mode", "single-round", "--trials", "0"], 2),
+    (["serve", "--transport", "stdio", "--rounds", "0"], 2),
+    # more out-of-range ports, seeds and rates
+    (["serve", "--port", "70000"], 2),
+    (["serve", "--port", "-1"], 2),
+    (["connect", "--port", "65536"], 2),
+    (["run", "--seed", "0x1ffffffffffffffff"], 2),
+    (["keygen", "--seed", "-1", "--public-out", "{tmp}/k.json"], 2),
+    (["keygen", "--seed", str(1 << 64), "--public-out", "{tmp}/k.json"], 2),
+    (["analyze", "--what", "rate", "--seed", "-1"], 2),
+    (["analyze", "--what", "rate", "--seed", "0x1ffffffffffffffff"], 2),
+    ([*_HEX, "--rate", "inf"], 2),
+    ([*_HEX, "--rate", "1e308"], 2),
+    (["run", "--mode", "single-round", "--trials", "1", "--seed", hex((1 << 64) - 1)], 0),
 ]
+
+
+# the last stderr line of a refusal: main()'s prefix for its exit code, or
+# argparse's for a usage error
+_REFUSAL_LINE = {2: r"configuration error: |clawrand \w+: error: ", 3: r"i/o error: "}
 
 
 @pytest.mark.parametrize("argv, code", CLI_MATRIX, ids=[" ".join(a) for a, _ in CLI_MATRIX])
 def test_cli_exit_code_matrix(tmp_path, capsys, argv, code):
-    # in-process: every case returns its exit code, no exception escapes
+    # in-process: every case returns its exit code, no exception escapes,
+    # and a refusal writes nothing to stdout
     from clawrand import cli
 
     (tmp_path / "in.hex").write_text("a5" * 64 + "\n")
     (tmp_path / "bad.hex").write_text("zz not hex\n")
     assert cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
     if code:
-        assert "Traceback" not in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert re.match(_REFUSAL_LINE[code], err.splitlines()[-1]), err
 
 
 def test_cli_serve_stdio_pipe(tmp_path):
