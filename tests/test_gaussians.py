@@ -26,10 +26,6 @@ def enumerate_product_density(d, m):
     return out
 
 
-def tv_distance(f1, f2):
-    return float(0.5 * np.abs(f1 - f2).sum())
-
-
 def test_density_normalizer_example():
     d = dist(7, 2.0)
     tau = 1 + 2 * math.exp(-math.pi / 4) + 2 * math.exp(-math.pi)
@@ -167,7 +163,7 @@ def test_shifted_pair_tv_bound():
         shifted = np.array(
             [d.density_vec(np.mod(_unrank(i, q, m) - ring.centered(e), q)) for i in range(q**m)]
         )
-        tv = tv_distance(f, shifted)
+        tv = 0.5 * np.abs(f - shifted).sum()
         assert tv <= shifted_tv_bound(m, norm, B) + 1e-12
         h2 = hellinger_sq(d, e)
         assert tv <= math.sqrt(max(0.0, 2 * h2)) + 1e-12

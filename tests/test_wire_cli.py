@@ -283,6 +283,7 @@ def test_cli_exit_codes(tmp_path):
 _FULL = ["--profile", "full-scale"]
 _EXTRACT = ["extract", "--output", "{tmp}/o.hex"]
 _HEX = [*_EXTRACT, "--input", "{tmp}/in.hex"]  # 512 input bits
+USAGE = "usage"  # argparse's rejection: exit 2 with its usage text, not main()'s refusal
 
 CLI_MATRIX = [
     # every subcommand that takes a profile, on the print-only full-scale
@@ -304,23 +305,23 @@ CLI_MATRIX = [
     (["run", "--mode", "protocol2", "--prover", "ideal"], 2),
     (["run", "--mode", "single-round", "--prover", "nope"], 2),
     # out-of-range seed, port and rate
-    (["run", "--seed", "-1"], 2),
-    (["run", "--seed", hex(1 << 64)], 2),
-    (["keygen", "--seed", "x", "--public-out", "{tmp}/k.json"], 2),
-    (["serve", "--port", "65536"], 2),
-    (["connect", "--port", "-1"], 2),
-    ([*_HEX, "--rate", "-0.5"], 2),
-    ([*_HEX, "--rate", "1.5"], 2),
-    ([*_HEX, "--rate", "nan"], 2),
+    (["run", "--seed", "-1"], USAGE),
+    (["run", "--seed", hex(1 << 64)], USAGE),
+    (["keygen", "--seed", "x", "--public-out", "{tmp}/k.json"], USAGE),
+    (["serve", "--port", "65536"], USAGE),
+    (["connect", "--port", "-1"], USAGE),
+    ([*_HEX, "--rate", "-0.5"], USAGE),
+    ([*_HEX, "--rate", "1.5"], USAGE),
+    ([*_HEX, "--rate", "nan"], USAGE),
     # extract input that is missing or not hex
     ([*_EXTRACT, "--input", "{tmp}/missing.hex"], 3),
     ([*_EXTRACT, "--input", "{tmp}/bad.hex"], 3),
     # negative, zero and oversized lengths
-    ([*_HEX, "--n-in", "-8"], 2),
-    ([*_HEX, "--n-in", "0"], 2),
+    ([*_HEX, "--n-in", "-8"], USAGE),
+    ([*_HEX, "--n-in", "0"], USAGE),
     ([*_HEX, "--n-in", "513"], 2),
-    ([*_HEX, "--n-out", "-8"], 2),
-    ([*_HEX, "--n-out", "0"], 2),
+    ([*_HEX, "--n-out", "-8"], USAGE),
+    ([*_HEX, "--n-out", "0"], USAGE),
     ([*_HEX, "--n-out", "513"], 2),
     ([*_HEX, "--n-in", "64", "--n-out", "65"], 2),
     ([*_HEX, "--n-in", "64", "--n-out", "32"], 0),
@@ -328,43 +329,49 @@ CLI_MATRIX = [
     # unknown profile names and degenerate counts
     (["run", "--profile", "nope"], 2),
     (["profiles", "--name", "nope"], 2),
-    (["run", "--mode", "protocol1", "--rounds", "0"], 2),
-    (["run", "--mode", "protocol1", "--rounds", "-3"], 2),
-    (["run", "--mode", "single-round", "--trials", "0"], 2),
-    (["serve", "--transport", "stdio", "--rounds", "0"], 2),
+    (["run", "--mode", "protocol1", "--rounds", "0"], USAGE),
+    (["run", "--mode", "protocol1", "--rounds", "-3"], USAGE),
+    (["run", "--mode", "single-round", "--trials", "0"], USAGE),
+    (["serve", "--transport", "stdio", "--rounds", "0"], USAGE),
     # more out-of-range ports, seeds and rates
-    (["serve", "--port", "70000"], 2),
-    (["serve", "--port", "-1"], 2),
-    (["connect", "--port", "65536"], 2),
-    (["run", "--seed", "0x1ffffffffffffffff"], 2),
-    (["keygen", "--seed", "-1", "--public-out", "{tmp}/k.json"], 2),
-    (["keygen", "--seed", str(1 << 64), "--public-out", "{tmp}/k.json"], 2),
-    (["analyze", "--what", "rate", "--seed", "-1"], 2),
-    (["analyze", "--what", "rate", "--seed", "0x1ffffffffffffffff"], 2),
-    ([*_HEX, "--rate", "inf"], 2),
-    ([*_HEX, "--rate", "1e308"], 2),
+    (["serve", "--port", "70000"], USAGE),
+    (["serve", "--port", "-1"], USAGE),
+    (["connect", "--port", "65536"], USAGE),
+    (["run", "--seed", "0x1ffffffffffffffff"], USAGE),
+    (["keygen", "--seed", "-1", "--public-out", "{tmp}/k.json"], USAGE),
+    (["keygen", "--seed", str(1 << 64), "--public-out", "{tmp}/k.json"], USAGE),
+    (["analyze", "--what", "rate", "--seed", "-1"], USAGE),
+    (["analyze", "--what", "rate", "--seed", "0x1ffffffffffffffff"], USAGE),
+    ([*_HEX, "--rate", "inf"], USAGE),
+    ([*_HEX, "--rate", "1e308"], USAGE),
     (["run", "--mode", "single-round", "--trials", "1", "--seed", hex((1 << 64) - 1)], 0),
 ]
 
 
-# the last stderr line of a refusal: main()'s prefix for its exit code, or
-# argparse's for a usage error
-_REFUSAL_LINE = {2: r"configuration error: |clawrand \w+: error: ", 3: r"i/o error: "}
+# main()'s refusal prefix for each exit code
+_REFUSAL = {2: "configuration error: ", 3: "i/o error: "}
 
 
 @pytest.mark.parametrize("argv, code", CLI_MATRIX, ids=[" ".join(a) for a, _ in CLI_MATRIX])
 def test_cli_exit_code_matrix(tmp_path, capsys, argv, code):
     # in-process: every case returns its exit code, no exception escapes,
-    # and a refusal writes nothing to stdout
+    # and a refusal writes nothing to stdout and names its kind on stderr
     from clawrand import cli
 
     (tmp_path / "in.hex").write_text("a5" * 64 + "\n")
     (tmp_path / "bad.hex").write_text("zz not hex\n")
-    assert cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == code
+    assert cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == (2 if code == USAGE else code)
     if code:
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
-        assert re.match(_REFUSAL_LINE[code], err.splitlines()[-1]), err
+        *notes, last = err.splitlines()
+        if code == USAGE:
+            assert notes[0].startswith("usage: clawrand "), err
+            assert re.match(r"clawrand \w+: error: argument ", last), err
+        else:
+            # one prefixed line, after any "# profile ..." notes
+            assert last.startswith(_REFUSAL[code]), err
+            assert all(n.startswith("# ") for n in notes), err
 
 
 def test_cli_serve_stdio_pipe(tmp_path):
