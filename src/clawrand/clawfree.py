@@ -153,6 +153,14 @@ def density_public(pub: PublicKey, b: int, x, y) -> float:
     return pub.noise_dist().density_vec(np.asarray(y) - shift)
 
 
+def sample_branch(pub: PublicKey, b: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """An honest branch-b image: uniform x, then y = A*x + b*u + e0 with B_P noise e0."""
+    ring = pub.ring
+    x = ring.uniform(rng, pub.profile.n)
+    e0 = pub.noise_dist().sample_vec(rng, pub.profile.m)
+    return x, ring.reduce(ring.matmul(pub.A, x) + b * pub.u + e0)
+
+
 def chk(pub: PublicKey, b: int, x, y) -> int:
     """Public support check: 1 iff the centered norm of y - A*x - b*u is
     within B_P * sqrt(m)."""
@@ -313,12 +321,9 @@ def moderate_check(ring: ModRing, C) -> bool:
     """Whether every nonzero vector in the row span of C is moderate.
 
     The zero matrix spans nothing nonzero and is reported not moderate.
-    Enumeration is guarded at q^ell combinations."""
+    Enumeration is guarded at q^ell combinations by residue_grid."""
     C = np.atleast_2d(C)
-    ell = C.shape[0]
-    if ring.q**ell > _SPAN_GUARD:
-        raise SizeGuardError(f"row-span enumeration q^ell = {ring.q ** ell} too large")
-    span = ring.reduce(residue_grid(ring.q, ell) @ C)
+    span = ring.reduce(residue_grid(ring.q, C.shape[0]) @ C)
     nonzero = span[np.any(span != 0, axis=1)]
     return nonzero.shape[0] > 0 and bool(is_moderate_vector(ring, nonzero).all())
 

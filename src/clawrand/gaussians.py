@@ -33,12 +33,6 @@ class TruncGaussian:
     def __post_init__(self):
         if self.B <= 0:
             raise ValueError("width parameter must be positive")
-
-    # -- support table ---------------------------------------------------
-
-    def _ensure_table(self):
-        if self._table:
-            return
         q = self.ring.q
         L = min(int(math.floor(self.B)), q // 2)
         support_c = np.arange(-L, L + 1, dtype=np.int64)
@@ -53,32 +47,23 @@ class TruncGaussian:
         self._table["density"] = dens
         self._table["cdf"] = np.cumsum(weights / tau)
 
-    def support(self) -> np.ndarray:
-        """Residues of the support, as centered representatives."""
-        self._ensure_table()
-        return self._table["support_centered"].copy()
-
     # -- densities -------------------------------------------------------
 
     def density(self, x) -> float:
         """Probability of residue x."""
-        self._ensure_table()
         x = int(np.mod(x, self.ring.q))
         return float(self._table["density"][x])
 
     def density_table(self) -> np.ndarray:
         """Length-q array of probabilities indexed by residue."""
-        self._ensure_table()
         return self._table["density"].copy()
 
     def density_vec(self, v) -> float:
         """Product density of a residue vector."""
-        self._ensure_table()
         v = np.mod(np.asarray(v, dtype=np.int64), self.ring.q)
         return float(np.prod(self._table["density"][v]))
 
     def entropy_bits(self) -> float:
-        self._ensure_table()
         p = self._table["density"]
         p = p[p > 0]
         return float(-(p * np.log2(p)).sum())
@@ -87,13 +72,9 @@ class TruncGaussian:
 
     def sample_vec(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m i.i.d. coordinates, as residues in [0, q)."""
-        self._ensure_table()
         u = rng.random(m)
         idx = np.searchsorted(self._table["cdf"], u)
         return np.mod(self._table["support_centered"][idx], self.ring.q)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(self.sample_vec(rng, 1)[0])
 
 
 # -- distances -----------------------------------------------------------

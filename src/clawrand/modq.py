@@ -77,9 +77,15 @@ class ModRing:
         return np.mod(a @ b, self.q)
 
 
+# The most rows residue_grid builds: the one guard on every full search over Z_q^n.
+MAX_GRID = 1_000_000
+
+
 def residue_grid(q: int, n: int) -> np.ndarray:
     """(q^n, n) array of every vector in Z_q^n, first coordinate most
-    significant in the row index."""
+    significant in the row index.  Raises SizeGuardError past MAX_GRID rows."""
+    if q**n > MAX_GRID:
+        raise SizeGuardError(f"enumeration of Z_q^n infeasible: q^n = {q**n} exceeds {MAX_GRID}")
     return np.indices((q,) * n, dtype=np.int64).reshape(n, -1).T
 
 

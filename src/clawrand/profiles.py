@@ -16,6 +16,7 @@ protocol's test rate is called p_test throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -107,14 +108,9 @@ class ParameterProfile:
         }
 
 
-_DIST_CACHE: dict[tuple[int, float], TruncGaussian] = {}
-
-
+@functools.cache
 def _dist(q: int, B: float) -> TruncGaussian:
-    key = (q, float(B))
-    if key not in _DIST_CACHE:
-        _DIST_CACHE[key] = TruncGaussian(ModRing(q), float(B))
-    return _DIST_CACHE[key]
+    return TruncGaussian(ModRing(q), float(B))
 
 
 def _full_scale() -> ParameterProfile:

@@ -7,16 +7,19 @@ p_test) or a generation round, and sends challenge 0 (equation) or 1
 (preimage; always 1 on generation rounds).  Equation answers are graded
 against the claw parity when d is in the good set and by a fair coin when
 it is not; preimage answers are graded by the public support check.  Keys
-are refreshed after every test round.  The run is accepted when the test
-passes reach (1 - gamma) * p_test * N; a run without test rounds is
-rejected.  The single-round test is the same rule applied to one round
-with a fresh key.
+are refreshed after every test round.  Every test round is scored, against
+the threshold (1 - gamma) * p_test * N.  The single-round test grades one
+round with a fresh key by the same round rule.
 
 Protocol 2 (simplified): no keys and no images; the prover reports its
 own pass bit e (plus a subspace bit k when probed with T = 1) on
 challenge 0 and a label v in {0,1,2} on challenge 1.  Only T = 1 test
-rounds are scored, against the threshold
-(1 - gamma/kappa - eta) * kappa * p_test * N.
+rounds are scored, against (1 - gamma/kappa - eta) * kappa * p_test * N.
+
+Both protocols accept by one rule, _accepts: the scored rounds pass at least
+threshold times, and a run with none is rejected.  A malformed reply, or a
+raise other than SessionAbort (which aborts the run), fails its round.  The
+output bits are the passed generation rounds.
 
 Prover adapters are duck-typed: new_key(key), next_sample() and
 answer(c, t) for Protocol 1; round2(c, t) for Protocol 2.  Adapters with
@@ -43,11 +46,12 @@ from .clawfree import (
     gen,
     in_good_set,
     public_key_to_json,
+    sample_branch,
     wilson_interval,
 )
 from .devices import SimplifiedDevice, honest_qubit_device
 from .extract import bits_to_hex, empirical_min_entropy
-from .modq import SizeGuardError, canonical_json
+from .modq import canonical_json
 from .profiles import ParameterProfile
 from .trapdoor import DecodeFailure
 
@@ -110,15 +114,19 @@ class Transcript:
             "mode": self.mode,
             "profile": self.profile["name"],
             "rounds": self.n_rounds,
+            **self._verdict(),
+            "per_challenge": per_challenge,
+            "output_bits": len(self.output_bits),
+            "output_min_entropy_per_bit": empirical_min_entropy(bits) if bits.size else None,
+        }
+
+    def _verdict(self) -> dict:
+        """The decision and its inputs, shared by summary() and the final line."""
+        return {
             "accepted": self.accepted,
             "test_passes": self.test_passes,
             "test_rounds": self.test_count,
             "threshold": self.threshold,
-            "per_challenge": per_challenge,
-            "output_bits": len(self.output_bits),
-            "output_min_entropy_per_bit": (
-                empirical_min_entropy(bits) if bits.size else None
-            ),
             "budget": self.budget,
             "notes": self.notes,
         }
@@ -133,21 +141,8 @@ class Transcript:
         }
         lines = [canonical_json(head)]
         lines += [canonical_json(r.as_dict()) for r in self.records]
-        lines.append(
-            canonical_json(
-                {
-                    "final": {
-                        "accepted": self.accepted,
-                        "threshold": self.threshold,
-                        "test_passes": self.test_passes,
-                        "test_rounds": self.test_count,
-                        "output_hex": bits_to_hex(np.array(self.output_bits, dtype=np.int64)),
-                        "budget": self.budget,
-                        "notes": self.notes,
-                    }
-                }
-            )
-        )
+        final = {**self._verdict(), "output_hex": bits_to_hex(np.array(self.output_bits, dtype=np.int64))}
+        lines.append(canonical_json({"final": final}))
         return "\n".join(lines) + "\n"
 
 
@@ -197,17 +192,23 @@ def _give_key(prover, key: KeyPair):
     prover.new_key(key if getattr(prover, "wants_trapdoor", False) else key.public)
 
 
+def _ask(call, *args):
+    """call(*args) on the prover.  SessionAbort aborts the run; any other
+    exception is a malformed reply, which scores 0 and never crashes it."""
+    try:
+        return call(*args)
+    except SessionAbort:
+        raise
+    except Exception as exc:
+        raise MalformedAnswer(f"prover raised {type(exc).__name__}: {exc}") from exc
+
+
 def _request_sample(key: KeyPair, prover):
     """Ask for an image until it inverts, up to the resample cap.  Returns
     (y, claw, resamples) with claw = (x0, x1), or None when no image
     inverted."""
     for attempt in range(_RESAMPLE_CAP + 1):
-        try:
-            sample = prover.next_sample()
-        except SessionAbort:
-            raise
-        except Exception as exc:
-            raise MalformedAnswer(f"prover raised {type(exc).__name__}: {exc}") from exc
+        sample = _ask(prover.next_sample)
         try:
             y = _exact_int64(sample)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -218,7 +219,7 @@ def _request_sample(key: KeyPair, prover):
             raise MalformedAnswer("sample entries outside [0, q)")
         try:
             return y, claw_from_image(key, y), attempt
-        except (DecodeFailure, SizeGuardError):
+        except DecodeFailure:
             continue
     return y, None, _RESAMPLE_CAP
 
@@ -233,12 +234,7 @@ class MalformedAnswer(Exception):
 
 
 def _validated_answer(key: KeyPair, prover, c: int):
-    try:
-        ans = prover.answer(c)
-    except SessionAbort:
-        raise
-    except Exception as exc:  # a misbehaving prover scores 0, never crashes the run
-        raise MalformedAnswer(f"prover raised {type(exc).__name__}: {exc}") from exc
+    ans = _ask(prover.answer, c)
     prof = key.profile
     if not isinstance(ans, tuple) or len(ans) != 3:
         raise MalformedAnswer(f"bad answer arity: {ans!r}")
@@ -332,12 +328,14 @@ def run_protocol1(
     budget = _Budget(profile)
     tr = Transcript(mode="protocol1", profile=profile.as_dict(), n_rounds=N)
 
-    key = gen(profile, rng)
-    budget.key()
-    tr.epochs.append(_key_digest(key))
-    _give_key(prover, key)
-    epoch = 0
+    def issue_key() -> KeyPair:
+        key = gen(profile, rng)
+        budget.key()
+        tr.epochs.append(_key_digest(key))
+        _give_key(prover, key)
+        return key
 
+    key = issue_key()
     for i in range(N):
         is_test = bool(rng.random() < profile.p_test)
         budget.draw(_h2(profile.p_test))
@@ -349,17 +347,14 @@ def run_protocol1(
         y, resamples, answer_rec, w, coin = _play_round(key, prover, rng, c)
         if coin:
             budget.draw(1.0)
-        if is_test:
-            o = w
-        else:
-            o = answer_rec.get("b", 2) if w == 1 else 2
+        o = w if is_test else (answer_rec["b"] if w else 2)
         tr.records.append(
             RoundRecord(
                 index=i,
                 round_type="test" if is_test else "gen",
                 challenge=c,
                 t=None,
-                key_epoch=epoch,
+                key_epoch=len(tr.epochs) - 1,
                 y=None if y is None else y.tolist(),
                 answer=answer_rec,
                 w=w,
@@ -372,33 +367,38 @@ def run_protocol1(
         if end_round is not None:
             end_round(i, refresh=is_test)
         if is_test:
-            key = gen(profile, rng)
-            budget.key()
-            tr.epochs.append(_key_digest(key))
-            _give_key(prover, key)
-            epoch += 1
+            key = issue_key()
 
-    _finalize_protocol1(tr, profile)
-    tr.budget = budget.as_dict(len(tr.output_bits))
+    tests = [r for r in tr.records if r.round_type == "test"]
+    _decide(tr, tests, _threshold1(profile, N), budget, "no test rounds occurred; rejecting degenerate run")
     return tr
 
 
-def _finalize_protocol1(tr: Transcript, profile: ParameterProfile):
-    tests = [r for r in tr.records if r.round_type == "test"]
-    tr.test_count = len(tests)
-    tr.test_passes = sum(r.w for r in tests)
-    tr.threshold = (1 - profile.gamma) * profile.p_test * tr.n_rounds
-    tr.accepted = protocol1_verdict(tr.records, profile, tr.n_rounds)
-    if not tests:
-        tr.notes.append("no test rounds occurred; rejecting degenerate run")
+def _accepts(passes: list[int], threshold: float) -> bool:
+    """The acceptance rule of both protocols (see the module docstring)."""
+    return bool(passes) and sum(passes) >= threshold - 1e-9
+
+
+def _threshold1(profile: ParameterProfile, n_rounds: int) -> float:
+    return (1 - profile.gamma) * profile.p_test * n_rounds
+
+
+def _decide(tr: Transcript, scored: list[RoundRecord], threshold: float, budget: _Budget, note: str):
+    """Fill in tr's verdict, notes, output bits and budget from its scored test rounds."""
+    passes = [r.w for r in scored]
+    tr.test_count = len(passes)
+    tr.test_passes = sum(passes)
+    tr.threshold = threshold
+    tr.accepted = _accepts(passes, threshold)
+    if not passes:
+        tr.notes.append(note)
     tr.output_bits = [r.o for r in tr.records if r.round_type == "gen" and r.w == 1]
+    tr.budget = budget.as_dict(len(tr.output_bits))
 
 
 def protocol1_verdict(records: list[RoundRecord], profile: ParameterProfile, n_rounds: int) -> bool:
-    """Acceptance recomputed from the records alone: the test passes reach
-    (1 - gamma) * p_test * N, and a run without test rounds is rejected."""
-    passes = [r.w for r in records if r.round_type == "test"]
-    return bool(passes) and sum(passes) >= (1 - profile.gamma) * profile.p_test * n_rounds - 1e-9
+    """Acceptance recomputed from the records alone."""
+    return _accepts([r.w for r in records if r.round_type == "test"], _threshold1(profile, n_rounds))
 
 
 def run_protocol2(
@@ -421,8 +421,6 @@ def run_protocol2(
         else:
             c, t = 1, 0
 
-        w = 0
-        answer_rec: dict
         try:
             ans = prover.round2(c, t)
             if c == 0:
@@ -430,8 +428,7 @@ def run_protocol2(
                 if e not in (0, 1) or (t == 1 and k not in (0, 1)):
                     raise MalformedAnswer("bad simplified equation report")
                 answer_rec = {"e": e, "k": k}
-                w = e if t == 0 else e * (1 - k)
-                o = w
+                w = e if t == 0 else e * (1 - k)  # c = 0 only on test rounds, which record o = w
             else:
                 v = _exact_int(ans)
                 if v not in (0, 1, 2):
@@ -460,21 +457,8 @@ def run_protocol2(
         )
 
     scored = [r for r in tr.records if r.round_type == "test" and r.t == 1]
-    tr.test_count = len(scored)
-    tr.test_passes = sum(r.w for r in scored)
-    tr.threshold = (
-        (1 - profile.gamma / profile.kappa - profile.eta)
-        * profile.kappa
-        * profile.p_test
-        * N
-    )
-    if not scored:
-        tr.accepted = False
-        tr.notes.append("no probed test rounds occurred; rejecting degenerate run")
-    else:
-        tr.accepted = tr.test_passes >= tr.threshold - 1e-9
-    tr.output_bits = [r.o for r in tr.records if r.round_type == "gen" and r.o in (0, 1)]
-    tr.budget = budget.as_dict(len(tr.output_bits))
+    threshold = (1 - profile.gamma / profile.kappa - profile.eta) * profile.kappa * profile.p_test * N
+    _decide(tr, scored, threshold, budget, "no probed test rounds occurred; rejecting degenerate run")
     return tr
 
 
@@ -543,11 +527,8 @@ class CommittedPreimageProver:
         self.pub = pub
 
     def next_sample(self):
-        prof = self.pub.profile
-        ring = self.pub.ring
-        self._x = ring.uniform(self.rng, prof.n)
-        e0 = self.pub.noise_dist().sample_vec(self.rng, prof.m)
-        return ring.reduce(ring.matmul(self.pub.A, self._x) + e0)
+        self._x, y = sample_branch(self.pub, 0, self.rng)
+        return y
 
     def answer(self, c, t=None):
         if c == 1:
@@ -601,12 +582,8 @@ class ReplayProver:
 
     def new_key(self, pub):
         self.pub = pub
-        prof = pub.profile
-        ring = pub.ring
-        self._x = ring.uniform(self.rng, prof.n)
-        e0 = pub.noise_dist().sample_vec(self.rng, prof.m)
-        self._y = ring.reduce(ring.matmul(pub.A, self._x) + e0)
-        self._d = self.rng.integers(0, 2, size=prof.w, dtype=np.int64)
+        self._x, self._y = sample_branch(pub, 0, self.rng)
+        self._d = self.rng.integers(0, 2, size=pub.profile.w, dtype=np.int64)
         self._u = int(self.rng.integers(0, 2))
 
     def next_sample(self):
@@ -618,22 +595,16 @@ class ReplayProver:
         return ("eq", self._u, self._d)
 
 
-def classical_provers() -> dict:
-    """Catalog of baseline adapters, keyed by CLI name."""
+def prover_catalog() -> dict:
+    """Protocol-1 and single-round adapters keyed by CLI name; each entry
+    builds the prover from its rng."""
     return {
         "classical-committed": CommittedPreimageProver,
         "classical-random": RandomNoiseProver,
         "classical-replay": ReplayProver,
+        "ideal": qsim.IdealProver,
+        "qsim-micro": qsim.SimulatedProver,
     }
-
-
-def prover_catalog() -> dict:
-    """Protocol-1 and single-round adapters keyed by CLI name; each entry
-    builds the prover from its rng."""
-    cat = dict(classical_provers())
-    cat["ideal"] = qsim.IdealProver
-    cat["qsim-micro"] = qsim.SimulatedProver
-    return cat
 
 
 # -- simplified-protocol provers -------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clawfree import KeyPair, PublicKey, claw_equation_bit, claw_partner
+from .clawfree import KeyPair, PublicKey, claw_equation_bit, claw_partner, sample_branch
 from .gaussians import hellinger_sq
 from .modq import SizeGuardError, residue_grid
 
@@ -174,13 +174,9 @@ class IdealProver:
         self._key = key
 
     def next_sample(self) -> np.ndarray:
-        key = self._key
-        prof = key.profile
-        ring = key.ring
         self._b = int(self.rng.integers(0, 2))
-        self._x = ring.uniform(self.rng, prof.n)
-        e0 = key.public.noise_dist().sample_vec(self.rng, prof.m)
-        return ring.reduce(ring.matmul(key.public.A, self._x) + self._b * key.public.u + e0)
+        self._x, y = sample_branch(self._key.public, self._b, self.rng)
+        return y
 
     def answer(self, challenge: int, t=None):
         if challenge == 1:

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .gaussians import TruncGaussian
-from .modq import ModRing, SizeGuardError, gadget_matrix, mat_from_json, mat_to_json, residue_grid
+from .modq import ModRing, gadget_matrix, mat_from_json, mat_to_json, residue_grid
 
 # A modulus with at most this many distinct blocks (q^k) keeps a table of
 # block decodes, filled as blocks are met.
@@ -310,10 +310,7 @@ def exhaustive_invert(ring: ModRing, A: np.ndarray, y, max_norm: float):
     m >= w + n, which micro profiles deliberately violate).  Fails unless a
     unique s gives a residual within max_norm.
     """
-    n = A.shape[1]
-    if ring.q**n > 1_000_000:
-        raise SizeGuardError(f"exhaustive inversion infeasible: q^n = {ring.q ** n}")
-    grid = residue_grid(ring.q, n)
+    grid = residue_grid(ring.q, A.shape[1])
     resid = ring.centered(np.asarray(y)[None, :] - grid @ A.T)
     norms2 = (resid.astype(float) ** 2).sum(axis=1)
     i = int(np.argmin(norms2))

@@ -1,7 +1,10 @@
-"""Smoke test of the benchmark harness: one short traced wire-micro run.
+"""Smoke tests of the benchmark harness: one short traced and one short
+untraced wire-micro run.
 
-It checks the result's schema and correctness gate, that the layers the
-tracer patches were reached, and the modq reduction count; it asserts no
+The traced run checks the result's schema and correctness gate, that the
+layers the tracer patches were reached, and the modq reduction count.  The
+untraced run is the one whose numbers are reported, and it probes its setup
+on its own, so its correctness gate is checked too.  Neither asserts
 timings."""
 
 import json
@@ -12,17 +15,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_wire_micro_traced_run():
+def _wire_micro_run(trace: int) -> dict:
     r = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", "wire-micro", "--seed", "1",
-         "--seconds", "1", "--trace", "1"],
+         "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert r.returncode == 0, r.stderr
     result = json.loads(r.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True
+    assert result["correct"] is True, r.stdout[-2000:]  # its FAILED lines name the problems
     assert result["failed"] == 0
-    metrics = result["metrics"]
+    return result
+
+
+def test_bench_wire_micro_untraced_run():
+    _wire_micro_run(trace=0)
+
+
+def test_bench_wire_micro_traced_run():
+    metrics = _wire_micro_run(trace=1)["metrics"]
     # a renamed or bypassed traced function reads 0 here
     assert metrics["qsim.prepare.calls_per_op"]["value"] > 0
     assert metrics["trapdoor.exhaustive_invert.calls_per_op"]["value"] > 0

@@ -30,7 +30,7 @@ from clawrand.clawfree import (
     secret_mask,
 )
 from clawrand.gaussians import shifted_hellinger_bound
-from clawrand.modq import MAX_Q, ModRing, vec_to_json
+from clawrand.modq import MAX_Q, ModRing, SizeGuardError, vec_to_json
 from clawrand.profiles import get_profile
 from clawrand.rngstream import substream
 from clawrand.trapdoor import DecodeFailure
@@ -396,6 +396,21 @@ def test_moderate_check_enumerates_span():
         is_moderate_vector(ring, ring.reduce(t * C[0])) for t in range(1, 5)
     )
     assert moderate_check(ring, C) == want
+
+
+def test_moderate_check_refuses_a_span_past_the_grid_limit():
+    # 5^9 ~ 1.95e6 combinations of 9 rows exceed MAX_GRID
+    ring = ModRing(5)
+    with pytest.raises(SizeGuardError):
+        moderate_check(ring, ring.uniform(np.random.default_rng(0), (9, 16)))
+
+
+@pytest.mark.parametrize("n", [9, 12, 30])
+def test_gen_refuses_a_micro_shape_too_large_to_enumerate(n):
+    # a micro key is checked by full search over Z_q^n, so q^n past
+    # MAX_GRID is refused before any of it is enumerated
+    with pytest.raises(SizeGuardError):
+        gen(get_profile("micro", n=n), substream(3, "guard", n))
 
 
 def test_moderate_fraction_empirical():

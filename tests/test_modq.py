@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawrand.modq import (
+    MAX_GRID,
     MAX_Q,
     ModRing,
+    SizeGuardError,
     bit_encode,
     canonical_json,
     gadget_matrix,
     mat_from_json,
     mat_to_json,
+    residue_grid,
     vec_from_json,
     vec_to_json,
 )
@@ -126,3 +129,13 @@ def test_ring_validates_modulus():
         ModRing(1)
     with pytest.raises(ValueError):
         ModRing(MAX_Q + 1)
+
+
+def test_residue_grid_guards_before_enumerating():
+    assert MAX_GRID == 1000**2
+    assert residue_grid(1000, 2).shape == (10**6, 2)
+    with pytest.raises(SizeGuardError):
+        residue_grid(1001, 2)
+    # far past the limit the guard refuses at once, allocating nothing
+    with pytest.raises(SizeGuardError):
+        residue_grid(13, 30)

@@ -13,8 +13,8 @@ from clawrand.protocol import (
     ConstantSimplifiedProver,
     RandomNoiseProver,
     ReplayProver,
+    SessionAbort,
     Transcript,
-    classical_provers,
     prover_catalog,
     protocol1_verdict,
     run_protocol1,
@@ -182,10 +182,48 @@ def test_replay_prover_demonstrates_refresh():
 
 def test_classical_provers_deterministic():
     prof = get_profile("micro")
-    for name, cls in classical_provers().items():
+    classical = {name: cls for name, cls in prover_catalog().items() if name.startswith("classical-")}
+    for name, cls in classical.items():
         r1 = single_round_test(prof, cls(substream(14, name)), 50, substream(14, "v", name))
         r2 = single_round_test(prof, cls(substream(14, name)), 50, substream(14, "v", name))
         assert r1 == r2
+
+
+class _Aborting(CommittedPreimageProver):
+    """An honest branch-0 prover whose named method loses the session."""
+
+    def __init__(self, rng, where):
+        super().__init__(rng)
+        self.where = where
+
+    def next_sample(self):
+        if self.where == "next_sample":
+            raise SessionAbort("lost the session while sampling")
+        return super().next_sample()
+
+    def answer(self, c, t=None):
+        if self.where == "answer":
+            raise SessionAbort("lost the session while answering")
+        return super().answer(c, t)
+
+
+@pytest.mark.parametrize("where", ["next_sample", "answer"])
+def test_session_abort_from_a_local_prover_aborts_protocol1(where):
+    # a lost session aborts the run; it is never scored as a failed round
+    prof = get_profile("desk-small")
+    with pytest.raises(SessionAbort):
+        run_protocol1(prof, _Aborting(substream(15, where), where), substream(15, "v", where), n_rounds=5)
+    with pytest.raises(SessionAbort):
+        single_round_test(prof, _Aborting(substream(15, where), where), 5, substream(15, "s", where))
+
+
+def test_session_abort_from_a_local_prover_aborts_protocol2():
+    class Aborting:
+        def round2(self, c, t):
+            raise SessionAbort("lost the session")
+
+    with pytest.raises(SessionAbort):
+        run_protocol2(get_profile("micro"), Aborting(), substream(15, "p2"), n_rounds=5)
 
 
 def test_malformed_prover_scores_zero_but_run_completes():

@@ -7,7 +7,7 @@ import pytest
 import scipy.stats
 
 from clawrand.gaussians import TruncGaussian
-from clawrand.modq import ModRing, gadget_matrix, residue_grid
+from clawrand.modq import ModRing, SizeGuardError, gadget_matrix, residue_grid
 from clawrand.trapdoor import (
     _DECODE_CACHE,
     _FALLBACK_PREFIX,
@@ -452,3 +452,11 @@ def test_decode_outcomes_do_not_depend_on_table_fill_order():
     assert forward == outcomes(reversed(range(len(ys))))
     kinds = {isinstance(v, str) for v in forward.values()}
     assert kinds == {True, False}
+
+
+def test_exhaustive_invert_refuses_a_search_past_the_grid_limit():
+    # 5^9 ~ 1.95e6 candidates exceed MAX_GRID
+    ring = ModRing(5)
+    A = ring.uniform(np.random.default_rng(0), (2, 9))
+    with pytest.raises(SizeGuardError):
+        exhaustive_invert(ring, A, np.zeros(2, dtype=np.int64), max_norm=1.0)
