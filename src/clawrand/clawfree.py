@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .gaussians import TruncGaussian
-from .modq import ModRing, SizeGuardError, bit_encode, mat_from_json, mat_to_json, residue_grid, vec_from_json, vec_to_json
+from .modq import MAX_GRID, ModRing, SizeGuardError, bit_encode, mat_from_json, mat_to_json, residue_grid, vec_from_json, vec_to_json
 from .profiles import ParameterProfile
 from .trapdoor import (
     DecodeFailure,
@@ -253,11 +253,12 @@ def classify_hardcore(key: KeyPair, b: int, x, d, c: int) -> str:
     return "correct" if int(c) & 1 == truth else "flipped"
 
 
-def wilson_interval(successes: float, trials: int, z: float = 2.5758) -> tuple[float, float]:
-    """Wilson score interval (default 99%)."""
+def wilson_interval(successes: float, trials: int) -> tuple[float, float]:
+    """Wilson score interval at 99% confidence."""
     if trials == 0:
         return (0.0, 1.0)
     p = successes / trials
+    z = 2.5758  # two-sided 99% normal quantile
     z2 = z * z
     center = (p + z2 / (2 * trials)) / (1 + z2 / trials)
     half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / (1 + z2 / trials)
@@ -306,9 +307,6 @@ def hardcore_game(
 
 # -- moderate matrices and parity balance -----------------------------------
 
-_SPAN_GUARD = 1_000_000
-
-
 def is_moderate_vector(ring: ModRing, v):
     """At least n/4 entries with centered magnitude in (q/8, 3q/8].  A 2-D
     array is tested row by row, giving one answer per row."""
@@ -341,7 +339,7 @@ def _parity_counts(ring: ModRing, C, dhats) -> np.ndarray:
     ell, n = C.shape
     if dhats.ndim != 2 or dhats.shape[1] != n:
         raise ValueError(f"each mask must be a vector of length {n}, the number of columns")
-    if ring.q**ell * 2 > _SPAN_GUARD:
+    if ring.q**ell * 2 > MAX_GRID:
         raise SizeGuardError("joint state space too large")
     batch = dhats.shape[0]
     dtype = np.int64 if n <= 62 else np.float64

@@ -215,7 +215,7 @@ def _analyze_hardcore(profile, rng) -> dict:
     }
 
 
-def _analyze_devices(rng) -> dict:
+def _analyze_devices(profile, rng) -> dict:
     dev = honest_qubit_device()
     worst_rec = 0.0
     lemma_ok = 0
@@ -242,7 +242,7 @@ def _analyze_devices(rng) -> dict:
     }
 
 
-def _analyze_lambda() -> dict:
+def _analyze_lambda(profile, rng) -> dict:
     omegas = [0.6, 0.75, 0.9]
     ts = [round(0.05 * i, 2) for i in range(21)]
     return {
@@ -251,7 +251,7 @@ def _analyze_lambda() -> dict:
     }
 
 
-def _analyze_rate(profile) -> dict:
+def _analyze_rate(profile, rng) -> dict:
     rows = []
     for eps in (1e-3, 1e-4, 1e-5):
         rows.append(
@@ -282,23 +282,24 @@ def _analyze_radius(profile, rng) -> dict:
     }
 
 
+# `analyze --what` names in the order `all` runs them, which fixes the rng draws
+_ANALYSES = {
+    "moderate": _analyze_moderate,
+    "hardcore": _analyze_hardcore,
+    "devices": _analyze_devices,
+    "lambda": _analyze_lambda,
+    "rate": _analyze_rate,
+    "radius": _analyze_radius,
+}
+
+
 def cmd_analyze(args) -> int:
     profile = _profile(args.profile)
     rng = substream(args.seed, "analyze", args.what)
     out = {"profile": profile.name}
-    what = args.what
-    if what in ("moderate", "all"):
-        out["moderate"] = _analyze_moderate(profile, rng)
-    if what in ("hardcore", "all"):
-        out["hardcore"] = _analyze_hardcore(profile, rng)
-    if what in ("devices", "all"):
-        out["devices"] = _analyze_devices(rng)
-    if what in ("lambda", "all"):
-        out["lambda"] = _analyze_lambda()
-    if what in ("rate", "all"):
-        out["rate"] = _analyze_rate(profile)
-    if what in ("radius", "all"):
-        out["radius"] = _analyze_radius(profile, rng)
+    for what, analyze in _ANALYSES.items():
+        if args.what in (what, "all"):
+            out[what] = analyze(profile, rng)
     _emit(out, args.out)
     return 0
 
@@ -376,6 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", default="micro", help="parameter profile name")
         p.add_argument("--seed", type=_seed, default=1, help="64-bit master seed")
 
+    def add_endpoint(p):
+        p.add_argument("--transport", default="tcp", choices=["tcp", "stdio"])
+        p.add_argument("--host", default="127.0.0.1")
+        p.add_argument("--port", type=_port, default=19151)
+
     p = sub.add_parser("keygen", help="generate a key pair")
     add_common(p)
     p.add_argument("--public-out", required=True)
@@ -394,11 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="statistical and device analyses")
     add_common(p)
-    p.add_argument(
-        "--what",
-        default="all",
-        choices=["moderate", "hardcore", "devices", "lambda", "rate", "radius", "all"],
-    )
+    p.add_argument("--what", default="all", choices=[*_ANALYSES, "all"])
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_analyze)
 
@@ -414,9 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="host a verifier session")
     add_common(p)
     p.add_argument("--mode", default="protocol1", choices=["protocol1", "protocol2"])
-    p.add_argument("--transport", default="tcp", choices=["tcp", "stdio"])
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_port, default=19151)
+    add_endpoint(p)
     p.add_argument("--rounds", type=_positive_int, default=None)
     p.add_argument("--transcript", default=None)
     p.set_defaults(fn=cmd_serve)
@@ -424,9 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("connect", help="run a prover against a remote verifier")
     p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--prover", default="classical-committed")
-    p.add_argument("--transport", default="tcp", choices=["tcp", "stdio"])
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=_port, default=19151)
+    add_endpoint(p)
     p.set_defaults(fn=cmd_connect)
 
     p = sub.add_parser("profiles", help="list parameter profiles and their violated conditions")

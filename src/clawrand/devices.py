@@ -68,7 +68,7 @@ class SimplifiedDevice:
     def image_weights(self) -> np.ndarray:
         return np.real(np.trace(self.phi, axis1=1, axis2=2))
 
-    def validate(self, tol: float = _PROJ_TOL):
+    def validate(self):
         if self.dim > _DIM_GUARD:
             raise ValueError(f"dimension {self.dim} exceeds guard {_DIM_GUARD}")
         for y in range(self.ny):
@@ -79,13 +79,13 @@ class SimplifiedDevice:
                 ("M0", self.M0[y]),
                 ("K0", self.K0[y]),
             ]:
-                if not _is_projector(P, tol):
+                if not _is_projector(P):
                     raise ValueError(f"{name}[{y}] is not a projector")
             eigs = np.linalg.eigvalsh(self.phi[y])
-            if eigs.min() < -tol:
+            if eigs.min() < -_PROJ_TOL:
                 raise ValueError(f"phi[{y}] is not positive semidefinite")
             for name, P in [("M0", self.M0[y]), ("Pi0", self.Pi0[y]), ("Pi1", self.Pi1[y])]:
-                if np.abs(self.K0[y] @ P - P @ self.K0[y]).max() > tol:
+                if np.abs(self.K0[y] @ P - P @ self.K0[y]).max() > _PROJ_TOL:
                     raise ValueError(f"K does not commute with {name}[{y}]")
         if self.image_weights().sum() > 1 + 1e-6:
             raise ValueError("total state weight exceeds 1")
@@ -170,7 +170,7 @@ class JordanDecomposition:
         return P, M
 
 
-def jordan_angles(P: np.ndarray, M: np.ndarray, tol: float = 1e-9) -> JordanDecomposition:
+def jordan_angles(P: np.ndarray, M: np.ndarray) -> JordanDecomposition:
     """Simultaneous 2x2 block decomposition of two orthogonal projectors.
 
     Eigenvectors of P M P inside range(P) with eigenvalue strictly between
@@ -193,16 +193,16 @@ def jordan_angles(P: np.ndarray, M: np.ndarray, tol: float = 1e-9) -> JordanDeco
             c2 = float(min(1.0, max(0.0, c2s[j])))
             v = (Qp @ A[:, j : j + 1]).reshape(-1, 1)
             used.append(v)
-            if c2 <= tol:
+            if c2 <= _PROJ_TOL:
                 blocks.append(JordanBlock(0.0, v, 1))
-            elif c2 >= 1 - tol:
+            elif c2 >= 1 - _PROJ_TOL:
                 blocks.append(JordanBlock(1.0, v, 1))
             else:
                 w = (M @ v - c2 * v) / math.sqrt(c2 * (1 - c2))
                 w /= np.linalg.norm(w)
                 used.append(w)
                 blocks.append(JordanBlock(c2, np.hstack([v, w]), 1))
-    # leftover directions lie in ker(P) and are M-invariant up to tol
+    # leftover directions lie in ker(P) and are M-invariant up to _PROJ_TOL
     U = np.hstack(used) if used else np.zeros((d, 0), dtype=complex)
     comp = np.eye(d, dtype=complex) - U @ U.conj().T
     evals, evecs = np.linalg.eigh(comp)
@@ -312,17 +312,16 @@ def rate_bound(
     p_test: float,
     eps: float,
     N: int | None = None,
-    c: float = 1.0,
     delta: float | None = None,
 ) -> float:
     """Accumulation rate lambda_omega(1 - gamma/kappa - eta) minus the
-    correction c*(p_test + eps/(kappa*p_test)); the constant in front of
-    the correction is not pinned down by the analysis, so it is exposed as
-    the knob c (reports are up to that constant).  With delta and N given,
-    the smoothing cost (1 + 2 log2(1/delta))/(eps N) is also subtracted."""
+    correction p_test + eps/(kappa*p_test); the analysis does not pin down
+    the constant in front of the correction, so it is taken as 1 (reports
+    are up to that constant).  With delta and N given, the smoothing cost
+    (1 + 2 log2(1/delta))/(eps N) is also subtracted."""
     rate = lambda_curve(omega, max(0.0, 1.0 - gamma / kappa - eta))
     corr = eps / (kappa * p_test) if eps > 0 else 0.0
-    rate -= c * (p_test + corr)
+    rate -= p_test + corr
     if delta is not None:
         if N is None or eps <= 0:
             raise ValueError("smoothing term needs N and eps > 0")

@@ -66,10 +66,10 @@ def extract(seed: ToeplitzSeed, bits_in) -> np.ndarray:
     return counts.astype(np.int64) & 1
 
 
-def extraction_length(rate: float, n_gen: int, delta_ext: float = 2.0**-40) -> int:
+def extraction_length(rate: float, n_gen: int) -> int:
     """Output-length convention: floor(rate * n_gen) - 2*log2(1/delta_ext),
-    mirroring the leftover-hashing loss; clamped at zero."""
-    return max(0, int(math.floor(rate * n_gen)) - int(round(2 * math.log2(1 / delta_ext))))
+    the leftover-hashing loss at delta_ext = 2^-40; clamped at zero."""
+    return max(0, int(math.floor(rate * n_gen)) - 80)
 
 
 def empirical_min_entropy(samples) -> float:

@@ -77,7 +77,8 @@ class ModRing:
         return np.mod(a @ b, self.q)
 
 
-# The most rows residue_grid builds: the one guard on every full search over Z_q^n.
+# The one enumeration limit: the most rows residue_grid builds, and the most
+# entries in a qsim state vector or a parity-count table.
 MAX_GRID = 1_000_000
 
 

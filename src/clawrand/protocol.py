@@ -157,7 +157,6 @@ class _Budget:
     expansion ratio qualitatively."""
 
     def __init__(self, profile: ParameterProfile):
-        self.profile = profile
         self.bits = 0.0
         p = profile
         key_noise = p.noise_dist(p.B_V).entropy_bits()

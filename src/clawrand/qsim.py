@@ -19,9 +19,7 @@ import numpy as np
 
 from .clawfree import KeyPair, PublicKey, claw_equation_bit, claw_partner, sample_branch
 from .gaussians import hellinger_sq
-from .modq import SizeGuardError, residue_grid
-
-_STATE_GUARD = 1_000_000
+from .modq import MAX_GRID, SizeGuardError, residue_grid
 
 
 @dataclass
@@ -45,8 +43,8 @@ def prepare_sampling_state(pub: PublicKey) -> PreparedState:
     prof = pub.profile
     q, n, m = prof.q, prof.n, prof.m
     dim = 2 * q ** (n + m)
-    if dim > _STATE_GUARD:
-        raise SizeGuardError(f"state dimension {dim} exceeds {_STATE_GUARD}")
+    if dim > MAX_GRID:
+        raise SizeGuardError(f"state dimension {dim} exceeds {MAX_GRID}")
     dens = pub.noise_dist().density_table()  # per-coordinate, by residue
     shifts = pub.ring.reduce(residue_grid(q, n) @ pub.A.T + np.arange(2)[:, None, None] * pub.u)
     # cols[b, x, j] is coordinate j's density over y_j; the product density
@@ -97,8 +95,8 @@ def measure_equation(col: CollapsedState, rng: np.random.Generator) -> tuple[int
     """Encode (b, x) into bits, Hadamard all w+1 of them, measure (u, d)."""
     prof = col.pub.profile
     q, n, w = prof.q, prof.n, prof.w
-    if 2 ** (w + 1) > _STATE_GUARD:
-        raise SizeGuardError(f"bit register 2^{w + 1} exceeds {_STATE_GUARD}")
+    if 2 ** (w + 1) > MAX_GRID:
+        raise SizeGuardError(f"bit register 2^{w + 1} exceeds {MAX_GRID}")
     # bit_encode puts coordinate i at bits [i*k, (i+1)*k), so the register
     # index of x is sum_i x_i * 2^(i*k)
     jint = residue_grid(q, n) @ (1 << (col.pub.ring.coord_bits * np.arange(n, dtype=np.int64)))

@@ -126,6 +126,8 @@ def _perp_basis(q: int, k: int) -> np.ndarray:
         S[j, j] = 2
         S[j + 1, j] = -1
     S[:, k - 1] = [(q >> i) & 1 for i in range(k)]
+    # q = 2^k has no low bits set: its last basis vector is 2*e_k
+    S[k - 1, k - 1] += 2 * (q >> k)
     return S
 
 

@@ -69,7 +69,8 @@ class LineChannel:
             raise WireError(f"frame longer than {MAX_LINE_BYTES} bytes")
         try:
             obj = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # bad UTF-8, bad JSON or an int past the digit limit; or deep nesting
+        except (ValueError, RecursionError) as exc:
             raise WireError(f"bad message framing: {exc}") from exc
         if not isinstance(obj, dict):
             raise WireError(f"bad message framing: expected an object, got {type(obj).__name__}")

@@ -62,6 +62,13 @@ def test_gen_self_consistency(desk_key):
     assert np.array_equal(s0, ring.reduce(key.s_bits))
 
 
+
+def test_gen_at_power_of_two_modulus():
+    key = gen(get_profile("desk-small", q=16), substream(100, "desk-key"))
+    s0, _ = claw_from_image(key, key.public.u)
+    assert np.array_equal(s0, key.s_bits)
+
+
 def test_micro_supports_disjoint_and_matching(micro_key):
     key = micro_key
     prof = key.profile

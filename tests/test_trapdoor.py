@@ -112,6 +112,23 @@ def test_invert_roundtrip_with_sampled_noise():
         assert np.array_equal(ring.reduce(ring.matmul(key.A, s2) + e2), y)
 
 
+
+@pytest.mark.parametrize("q, n, m", [(16, 2, 12), (4096, 2, 30)])
+def test_invert_roundtrip_at_power_of_two_modulus(q, n, m):
+    # q = 2^k sets none of the k low bits the gadget decode's basis is
+    # built from; 4096 is MAX_Q and too large for the block table
+    ring = ModRing(q)
+    rng = np.random.default_rng(4)
+    key = gen_trap(ring, n, m, rng)
+    noise = TruncGaussian(ring, 1.0)
+    for _ in range(200):
+        s = ring.uniform(rng, n)
+        e = ring.centered(noise.sample_vec(rng, m))
+        s2, e2 = invert(key, ring.reduce(ring.matmul(key.A, s) + e), max_norm=math.sqrt(m))
+        assert np.array_equal(s2, s)
+        assert np.array_equal(e2, e)
+
+
 def test_invert_flags_uniform_garbage():
     ring = ModRing(13)
     rng = np.random.default_rng(5)

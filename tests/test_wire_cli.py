@@ -406,6 +406,10 @@ def test_cli_serve_stdio_rejects_garbage_with_protocol_exit():
     assert r.returncode == 4
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000  # past the parser's recursion limit
+_LONG_INT = '{"type":"hello","n":' + "9" * 5000 + "}"  # past the int-string digit limit
+
+
 _MICRO_HELLO = (
     '{"type":"hello","role":"verifier","profile":{"name":"micro"},'
     '"mode":"protocol1","rounds":1}'
@@ -424,6 +428,8 @@ _MICRO_HELLO = (
     ("serve", ["[1, 2]"]),
     ("serve", ['{"type":"hello","role":"prover","prover":"x"}', '"sample"']),
     ("serve", ["x" * (2 << 20)]),  # longer than the 1 MiB frame cap
+    ("connect", [_DEEP]),
+    ("serve", [_LONG_INT]),
 ])
 def test_cli_stdio_malformed_frames_exit_protocol(role, lines):
     # a peer's frame that is not an object, or lacks the fields its type
@@ -441,7 +447,11 @@ def test_cli_stdio_malformed_frames_exit_protocol(role, lines):
     assert "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize("line", [b"[1, 2]\n", b'"hello"\n', b"null\n", b"\xff\n"])
+@pytest.mark.parametrize("line", [
+    b"[1, 2]\n", b'"hello"\n', b"null\n", b"\xff\n",
+    pytest.param(_DEEP.encode() + b"\n", id="deep"),
+    pytest.param(_LONG_INT.encode() + b"\n", id="long-int"),
+])
 def test_recv_rejects_lines_that_are_not_objects(line):
     import io
 
