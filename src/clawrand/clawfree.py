@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .gaussians import TruncGaussian
-from .modq import MAX_GRID, ModRing, SizeGuardError, bit_encode, mat_from_json, mat_to_json, residue_grid, vec_from_json, vec_to_json
+from .modq import MAX_GRID, ModRing, SizeGuardError, bit_encode, exact_int64, mat_from_json, mat_to_json, residue_grid, vec_from_json, vec_to_json
 from .profiles import ParameterProfile
 from .trapdoor import (
     DecodeFailure,
@@ -431,8 +431,7 @@ def keypair_from_json(obj: dict, profile: ParameterProfile) -> KeyPair:
     public A."""
     pub = public_key_from_json(obj["public"], profile)
     gadget = None if obj["trapdoor"] is None else trapdoor_from_json(obj["trapdoor"])
-    s_bits = np.asarray(obj["s"], dtype=np.int64)
-    e = np.asarray(obj["e"], dtype=np.int64)
+    s_bits, e = exact_int64(obj["s"]), exact_int64(obj["e"])
     if s_bits.shape != (profile.n,) or np.any((s_bits != 0) & (s_bits != 1)):
         raise ValueError("secret is not a binary vector of length n")
     if e.shape != (profile.m,) or np.any(np.abs(e) > profile.B_V):

@@ -113,12 +113,12 @@ def _rate(text: str) -> float:
     return value
 
 
-def _emit(obj, path: str | None):
+def _emit(obj, path: str | None = None, stream=None):
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path:
         Path(path).write_text(text + "\n")
     else:
-        print(text)
+        print(text, file=stream)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -327,8 +327,7 @@ def cmd_extract(args) -> int:
             "monobit_p": monobit_p(out),
             "runs_p": runs_p(out),
             "output": args.output,
-        },
-        None,
+        }
     )
     return 0
 
@@ -336,8 +335,8 @@ def cmd_extract(args) -> int:
 def cmd_serve(args) -> int:
     profile = _profile(args.profile)
     _ring(profile)  # refuse before listening or sending a frame
-    if args.transport == "stdio":
-        chan = wire.LineChannel(sys.stdin.buffer, sys.stdout.buffer)
+    chan, out = _endpoint(args)
+    if chan:
         tr = wire.serve_session(chan, profile, args.mode, args.seed, n_rounds=args.rounds)
     else:
         tr = wire.serve_tcp(
@@ -345,24 +344,30 @@ def cmd_serve(args) -> int:
         )
     if args.transcript:
         Path(args.transcript).write_text(tr.to_jsonl())
-    summary_stream = sys.stderr if args.transport == "stdio" else sys.stdout
-    print(json.dumps(tr.summary(), indent=2, sort_keys=True), file=summary_stream)
+    _emit(tr.summary(), stream=out)
     return 0
 
 
 def cmd_connect(args) -> int:
-    if args.transport == "stdio":
-        chan = wire.LineChannel(sys.stdin.buffer, sys.stdout.buffer)
+    chan, out = _endpoint(args)
+    if chan:
         final = wire.connect_session(chan, args.prover, args.seed)
     else:
         final = wire.connect_tcp(args.host, args.port, args.prover, args.seed)
-    print(json.dumps(final, indent=2, sort_keys=True), file=sys.stderr if args.transport == "stdio" else sys.stdout)
+    _emit(final, stream=out)
     return 0
+
+
+def _endpoint(args):
+    """(stdio channel or None for TCP, stream for the result, off the frames)."""
+    if args.transport == "stdio":
+        return wire.LineChannel(sys.stdin.buffer, sys.stdout.buffer), sys.stderr
+    return None, sys.stdout
 
 
 def cmd_profiles(args) -> int:
     profiles = [_profile(args.name)] if args.name else PROFILES.values()
-    _emit([p.as_dict() for p in profiles], None)
+    _emit([p.as_dict() for p in profiles])
     return 0
 
 

@@ -4,7 +4,8 @@ representatives, norms, bit maps, and the powers-of-two gadget matrix.
 Every residue array is int64 in [0, q).  It is reduced only where
 arithmetic leaves that range (sums, products, ``centered``) and checked
 where it enters from outside (``mat_from_json``, ``keypair_from_json``,
-the protocol's sample and answer checks); nothing re-reduces it.  The
+the protocol's sample and answer checks) after ``exact_int``/``exact_int64``,
+the one integer rule for outside values; nothing re-reduces it.  The
 centered representative of x, the unique integer in (-q/2, q/2]
 congruent to x, is taken only at norm/decoding boundaries.  All
 operations are pure; values are never mutated in place.
@@ -18,6 +19,7 @@ encoder of transcripts, key digests and wire frames.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,14 +114,38 @@ def gadget_matrix(ring: ModRing, n: int) -> np.ndarray:
     return G.reshape(n * k, n)
 
 
+def exact_int(v) -> int:
+    """int(v), refusing (ValueError) a v the conversion would change: a
+    fraction, or a string.  int() itself refuses NaN and inf."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return i
+
+
+def exact_int64(v) -> np.ndarray:
+    """v as an int64 array.  Integer and bool arrays convert as they
+    are; any other array must convert unchanged, so a fraction, NaN, inf
+    or a value outside int64 is refused (ValueError or OverflowError)."""
+    if type(v) is list:
+        try:  # a flat list of ints in range, as JSON gives, without a dtype scan
+            return np.asarray(array("q", v))
+        except (TypeError, OverflowError):
+            pass  # anything else is decided below
+    arr = np.asarray(v)
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN and inf are refused below
+        out = arr.astype(np.int64)
+    if not np.array_equal(out, arr):
+        raise ValueError("entries are not integers")
+    return out
+
+
 def mat_to_json(ring: ModRing, m) -> dict:
     m = np.atleast_2d(m)
-    return {
-        "q": ring.q,
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "data": m.reshape(-1).tolist(),
-    }
+    rows, cols = m.shape
+    return {"q": ring.q, "rows": rows, "cols": cols, "data": m.reshape(-1).tolist()}
 
 
 def vec_to_json(ring: ModRing, v) -> dict:
@@ -127,9 +153,9 @@ def vec_to_json(ring: ModRing, v) -> dict:
 
 
 def mat_from_json(obj: dict) -> tuple[ModRing, np.ndarray]:
-    ring = ModRing(int(obj["q"]))
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = np.asarray(obj["data"], dtype=np.int64)
+    ring = ModRing(exact_int(obj["q"]))
+    rows, cols = exact_int(obj["rows"]), exact_int(obj["cols"])
+    data = exact_int64(obj["data"])
     if data.size != rows * cols:
         raise ValueError("matrix data length does not match declared shape")
     m = data.reshape(rows, cols)

@@ -51,7 +51,7 @@ from .clawfree import (
 )
 from .devices import SimplifiedDevice, honest_qubit_device
 from .extract import bits_to_hex, empirical_min_entropy
-from .modq import canonical_json
+from .modq import canonical_json, exact_int, exact_int64
 from .profiles import ParameterProfile
 from .trapdoor import DecodeFailure
 
@@ -209,7 +209,7 @@ def _request_sample(key: KeyPair, prover):
     for attempt in range(_RESAMPLE_CAP + 1):
         sample = _ask(prover.next_sample)
         try:
-            y = _exact_int64(sample)
+            y = exact_int64(sample)
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedAnswer("sample entries not integers") from exc
         if y.shape != (key.profile.m,):
@@ -257,32 +257,9 @@ def _converted(a, b, kind: str):
     """(a as an int, b as an int64 array); a value that does not convert
     exactly is out of the answer's domain."""
     try:
-        return _exact_int(a), _exact_int64(b)
+        return exact_int(a), exact_int64(b)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedAnswer(f"{kind} answer out of domain") from exc
-
-
-def _exact_int(v) -> int:
-    """int(v), refusing (ValueError) a v the conversion would change: a
-    fraction, or a string.  int() itself refuses NaN and inf."""
-    i = int(v)
-    if i != v:
-        raise ValueError(f"{v!r} is not an integer")
-    return i
-
-
-def _exact_int64(v) -> np.ndarray:
-    """v as an int64 array.  Integer and bool arrays convert as they
-    are; any other array must convert unchanged, so a fraction, NaN, inf
-    or a value outside int64 is refused (ValueError or OverflowError)."""
-    arr = np.asarray(v)
-    if arr.dtype.kind in "biu":
-        return arr.astype(np.int64, copy=False)
-    with np.errstate(invalid="ignore"):  # NaN and inf are refused below
-        out = arr.astype(np.int64)
-    if not np.array_equal(out, arr):
-        raise ValueError("entries are not integers")
-    return out
 
 
 def _play_round(key: KeyPair, prover, rng: np.random.Generator, c: int):
@@ -423,13 +400,13 @@ def run_protocol2(
         try:
             ans = prover.round2(c, t)
             if c == 0:
-                e, k = (_exact_int(ans[0]), None if ans[1] is None else _exact_int(ans[1]))
+                e, k = (exact_int(ans[0]), None if ans[1] is None else exact_int(ans[1]))
                 if e not in (0, 1) or (t == 1 and k not in (0, 1)):
                     raise MalformedAnswer("bad simplified equation report")
                 answer_rec = {"e": e, "k": k}
                 w = e if t == 0 else e * (1 - k)  # c = 0 only on test rounds, which record o = w
             else:
-                v = _exact_int(ans)
+                v = exact_int(ans)
                 if v not in (0, 1, 2):
                     raise MalformedAnswer("bad preimage label")
                 answer_rec = {"v": v}

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .gaussians import TruncGaussian
-from .modq import ModRing, gadget_matrix, mat_from_json, mat_to_json, residue_grid
+from .modq import ModRing, exact_int, exact_int64, gadget_matrix, mat_from_json, mat_to_json, residue_grid
 
 # A modulus with at most this many distinct blocks (q^k) keeps a table of
 # block decodes, filled as blocks are met.
@@ -99,8 +99,6 @@ class TrapdoorKey:
 
 def gen_trap(ring: ModRing, n: int, m: int, rng: np.random.Generator) -> TrapdoorKey:
     """Sample (A, trapdoor) with A statistically close to uniform."""
-    if ring.q < 3:
-        raise ValueError("gadget decoding needs q >= 3")
     w = n * ring.coord_bits
     if m < w + n:
         raise ValueError(f"m = {m} too small: need m >= w + n = {w + n}")
@@ -362,11 +360,7 @@ def measure_decode_radius(
 def trapdoor_to_json(key: TrapdoorKey) -> dict:
     return {
         "A": mat_to_json(key.ring, key.A),
-        "R": {
-            "rows": int(key.R.shape[0]),
-            "cols": int(key.R.shape[1]),
-            "data": key.R.reshape(-1).tolist(),
-        },
+        "R": {"rows": key.R.shape[0], "cols": key.R.shape[1], "data": key.R.reshape(-1).tolist()},
         "layout": {"mbar": key.mbar},
     }
 
@@ -374,8 +368,8 @@ def trapdoor_to_json(key: TrapdoorKey) -> dict:
 def trapdoor_from_json(obj: dict) -> TrapdoorKey:
     ring, A = mat_from_json(obj["A"])
     r = obj["R"]
-    R = np.asarray(r["data"], dtype=np.int64).reshape(r["rows"], r["cols"])
-    key = TrapdoorKey(ring=ring, A=A, R=R, mbar=int(obj["layout"]["mbar"]))
+    R = exact_int64(r["data"]).reshape(exact_int(r["rows"]), exact_int(r["cols"]))
+    key = TrapdoorKey(ring=ring, A=A, R=R, mbar=exact_int(obj["layout"]["mbar"]))
     key.validate()
     return key
 

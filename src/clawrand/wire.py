@@ -19,7 +19,7 @@ import socket
 import numpy as np
 
 from .clawfree import PublicKey, public_key_from_json, public_key_to_json
-from .modq import canonical_json
+from .modq import canonical_json, exact_int
 from .profiles import ParameterProfile, get_profile
 from .protocol import SessionAbort, Transcript, prover_catalog, run_protocol1, run_protocol2, simplified_provers
 from .rngstream import substream
@@ -110,7 +110,7 @@ class RemoteProver:
         return self.chan.recv("sample")["y"]
 
     def answer(self, c: int, t=None):
-        self.chan.send({"type": "challenge", "c": int(c), "t": t})
+        self.chan.send({"type": "challenge", "c": c, "t": t})
         msg = self.chan.recv("answer_eq", "answer_pre")
         if msg["type"] == "answer_eq":
             return ("eq", msg["u"], msg["d"])
@@ -118,9 +118,7 @@ class RemoteProver:
 
     def end_round(self, index: int, refresh: bool):
         self._mid_round = False
-        self.chan.send(
-            {"type": "decision", "round": int(index), "resample": False, "refresh": bool(refresh)}
-        )
+        self.chan.send({"type": "decision", "round": index, "resample": False, "refresh": refresh})
 
 
 class RemoteProver2:
@@ -131,7 +129,7 @@ class RemoteProver2:
         self.chan = chan
 
     def round2(self, c: int, t: int):
-        self.chan.send({"type": "challenge", "c": int(c), "t": int(t)})
+        self.chan.send({"type": "challenge", "c": c, "t": t})
         msg = self.chan.recv("answer_eq", "answer_pre")
         if msg["type"] == "answer_eq":
             return (msg["e"], msg.get("k"))
@@ -187,7 +185,7 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
     mode = hello.get("mode")
     if mode not in ("protocol1", "protocol2"):
         raise WireError(f"verifier offers unknown mode {mode!r}")
-    rounds = _parse("hello", lambda: int(hello["rounds"]))
+    rounds = _parse("hello", lambda: exact_int(hello["rounds"]))
     catalog = simplified_provers() if mode == "protocol2" else prover_catalog()
     if prover_kind not in catalog:
         raise WireError(f"prover {prover_kind!r} cannot play {mode}")
@@ -202,35 +200,35 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
     while True:
         msg = chan.recv()
         kind = msg.get("type")
+        if kind == "final":
+            return msg
+        if kind in ("challenge", "decision") and not keyed:
+            raise WireError(f"{kind} frame before any key")
         if kind == "key":
             prover.new_key(_parse("key", lambda: public_key_from_json(msg, profile)))
             keyed = True
-            if rounds_done < rounds:
-                chan.send({"type": "sample", "y": _int_list(prover.next_sample())})
-        elif kind in ("challenge", "decision") and not keyed:
-            raise WireError(f"{kind} frame before any key")
+            sample = rounds_done < rounds
         elif kind == "challenge":
-            tag, a, b = prover.answer(_parse("challenge", lambda: int(msg["c"])))
+            tag, a, b = prover.answer(_parse("challenge", lambda: exact_int(msg["c"])))
             if tag == "eq":
-                chan.send({"type": "answer_eq", "u": int(a), "d": _int_list(b)})
+                chan.send({"type": "answer_eq", "u": _plain(a), "d": _plain(b)})
             else:
-                chan.send({"type": "answer_pre", "b": int(a), "x": _int_list(b)})
+                chan.send({"type": "answer_pre", "b": _plain(a), "x": _plain(b)})
+            sample = False
         elif kind == "decision":
-            if msg.get("resample"):
-                chan.send({"type": "sample", "y": _int_list(prover.next_sample())})
-                continue
-            rounds_done += 1
-            if not msg.get("refresh") and rounds_done < rounds:
-                chan.send({"type": "sample", "y": _int_list(prover.next_sample())})
-        elif kind == "final":
-            return msg
+            sample = msg.get("resample")
+            if not sample:
+                rounds_done += 1
+                sample = not msg.get("refresh") and rounds_done < rounds
         else:
             raise WireError(f"unexpected message {kind!r}")
+        if sample:
+            chan.send({"type": "sample", "y": _plain(prover.next_sample())})
 
 
-def _int_list(v) -> list[int]:
-    """A prover's integer vector (an array or a list) as builtin ints."""
-    return np.asarray(v, dtype=np.int64).tolist()
+def _plain(v):
+    """A prover's value as builtins, unconverted: graded as a local one is."""
+    return np.asarray(v).tolist()
 
 
 def _parse(kind: str, decode):
@@ -238,7 +236,7 @@ def _parse(kind: str, decode):
     field is the peer's framing error."""
     try:
         return decode()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise WireError(f"malformed {kind} frame: {exc}") from exc
 
 
@@ -249,13 +247,13 @@ def _client_loop2(chan: LineChannel, prover) -> dict:
             return msg
         if msg.get("type") != "challenge":
             raise WireError(f"unexpected message {msg.get('type')!r}")
-        c, t = _parse("challenge", lambda: (int(msg["c"]), int(msg["t"] or 0)))
+        c, t = _parse("challenge", lambda: (exact_int(msg["c"]), exact_int(msg["t"] or 0)))
         ans = prover.round2(c, t)
         if c == 0:
             e, k = ans
-            chan.send({"type": "answer_eq", "e": int(e), "k": None if k is None else int(k)})
+            chan.send({"type": "answer_eq", "e": _plain(e), "k": _plain(k)})
         else:
-            chan.send({"type": "answer_pre", "v": int(ans)})
+            chan.send({"type": "answer_pre", "v": _plain(ans)})
 
 
 def serve_tcp(

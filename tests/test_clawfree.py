@@ -537,19 +537,47 @@ def _tamper_q(obj, key):
         obj["public"][part]["q"] = MAX_Q + 1
 
 
+def _tamper_s_fraction(obj, key):
+    obj["s"] = [v + 0.25 for v in obj["s"]]
+
+
+def _tamper_A_fraction(obj, key):
+    obj["public"]["A"]["data"][0] = 0.5
+
+
+def _tamper_q_fraction(obj, key):
+    for part in ("A", "u"):
+        obj["public"][part]["q"] = key.ring.q + 0.5
+
+
+def _tamper_R_fraction(obj, key):
+    data = obj["trapdoor"]["R"]["data"]
+    data[data.index(0)] = 0.5
+
+
+def _tamper_wide_int(obj, key):
+    obj["e"][0] = 2**70
+
+
 @pytest.mark.parametrize(
-    "tamper, message",
+    "tamper, exc, message",
     [
-        (_tamper_s, "binary"),
-        (_tamper_e, "B_V"),
-        (_tamper_u, "A\\*s \\+ e"),
-        (_tamper_trapdoor, "different A"),
-        (_tamper_q, "modulus must be in"),
+        (_tamper_s, ValueError, "binary"),
+        (_tamper_e, ValueError, "B_V"),
+        (_tamper_u, ValueError, "A\\*s \\+ e"),
+        (_tamper_trapdoor, ValueError, "different A"),
+        (_tamper_q, ValueError, "modulus must be in"),
+        # a value that is not exactly an integer is refused, never truncated
+        (_tamper_s_fraction, ValueError, "not integers"),
+        (_tamper_A_fraction, ValueError, "not integers"),
+        (_tamper_q_fraction, ValueError, "13.5 is not an integer"),
+        (_tamper_R_fraction, ValueError, "not integers"),
+        (_tamper_wide_int, OverflowError, "too large"),
     ],
-    ids=["s", "e", "u", "trapdoor", "q"],
+    ids=["s", "e", "u", "trapdoor", "q", "s-fraction", "A-fraction", "q-fraction", "R-fraction", "wide-int"],
 )
-def test_keypair_from_json_rejects_tampered_field(desk_key, tamper, message):
+def test_keypair_from_json_rejects_tampered_field(desk_key, tamper, exc, message):
     obj = keypair_to_json(desk_key)
     tamper(obj, desk_key)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(exc, match=message):
         keypair_from_json(obj, desk_key.profile)

@@ -160,6 +160,10 @@ def test_round_records_emit_builtin_ints_and_unchanged_text(name, prover_kind):
 
 def test_wire_frames_take_lists_and_arrays():
     for v in ([3, 0, 1], np.array([3, 0, 1], dtype=np.int64), (3, 0, 1)):
-        out = wire._int_list(v)
+        out = wire._plain(v)
         _assert_int_list(out)
         assert out == [3, 0, 1]
+    # scalars become builtins too, and a fraction is sent as it is
+    for v, want in ((np.int64(1), 1), (1, 1), (None, None), (0.5, 0.5), (np.array([0.5, 2.0]), [0.5, 2.0])):
+        out = wire._plain(v)
+        assert out == want and type(out) is type(want)

@@ -39,9 +39,19 @@ def test_gen_trap_shapes_and_identity():
 def test_gen_trap_rejects_small_m():
     with pytest.raises(ValueError):
         gen_trap(ModRing(13), 2, 9, np.random.default_rng(0))
-    # gadget decoding needs q >= 3
-    with pytest.raises(ValueError):
-        gen_trap(ModRing(2), 1, 4, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n,m", [(2, 8), (4, 20)])
+def test_gen_trap_q2_zero_noise_round_trip(n, m):
+    # at q = 2 the gadget basis is [[2]], so a key exists and decodes
+    ring = ModRing(2)
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        key = gen_trap(ring, n, m, rng)
+        key.validate()
+        s = ring.uniform(rng, n)
+        s_out, e_out = invert(key, ring.matmul(key.A, s), max_norm=0.0)
+        assert np.array_equal(s_out, s) and not e_out.any()
 
 
 def test_gen_trap_entry_uniformity():

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from clawrand import wire
+from clawrand.clawfree import gen, public_key_to_json
+from clawrand.modq import canonical_json
 from clawrand.profiles import get_profile
 from clawrand.protocol import CommittedPreimageProver, run_protocol1
 from clawrand.qsim import SimulatedProver
@@ -84,7 +86,6 @@ def test_server_refuses_non_integral_frame_values(monkeypatch, field):
             kind, a, v = super().answer(c, t)
             return kind, a, np.asarray(v) + 0.5
 
-    monkeypatch.setattr(wire, "_int_list", lambda v: np.asarray(v).tolist())
     monkeypatch.setattr(wire, "prover_catalog", lambda: {"fractional": Fractional})
     out = run_socket_pair(get_profile("micro", p_test=0.5), "protocol1", "fractional", 17, 20)
     tr = out["transcript"]
@@ -416,6 +417,17 @@ _MICRO_HELLO = (
 )
 
 
+def _micro_key_frame(first_entry: str = "0"):
+    """A micro key frame whose first A entry is the raw JSON text given."""
+    pub = gen(get_profile("micro"), substream(5, "stdio-key")).public
+    frame = {"type": "key", "epoch": 0, **public_key_to_json(pub)}
+    frame["A"]["data"][0] = "@@"
+    return canonical_json(frame).replace('"@@"', first_entry)
+
+
+_FINAL = '{"type":"final","accepted":false,"test_passes":0,"test_rounds":0}'
+
+
 @pytest.mark.parametrize("role,lines", [
     ("connect", ["[1, 2]"]),
     ("connect", ['{"type":"hello","role":"verifier","profile":{"name":"nope"},'
@@ -430,6 +442,11 @@ _MICRO_HELLO = (
     ("serve", ["x" * (2 << 20)]),  # longer than the 1 MiB frame cap
     ("connect", [_DEEP]),
     ("serve", [_LONG_INT]),
+    # values that are not exactly integers in range, never truncated
+    ("connect", [_MICRO_HELLO, _micro_key_frame("1180591620717411303424"), _FINAL]),
+    ("connect", [_MICRO_HELLO, _micro_key_frame("1.5"), _FINAL]),
+    ("connect", [_MICRO_HELLO, _micro_key_frame(), '{"type":"challenge","c":1e400}']),
+    ("connect", [_MICRO_HELLO.replace('"rounds":1', '"rounds":1e400')]),
 ])
 def test_cli_stdio_malformed_frames_exit_protocol(role, lines):
     # a peer's frame that is not an object, or lacks the fields its type

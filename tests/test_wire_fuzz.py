@@ -1,17 +1,18 @@
-"""Fuzz of the client's frames in a protocol-1 session over a socket pair.
+"""Fuzz of either side's frames in a protocol-1 session over a socket pair.
 
-One client frame is dropped, sent twice, cut short before the peer's
-writes are shut down, or has one of its values replaced by raw JSON that
-no honest client sends.  Whatever the frame, each side must end in its
-own return value (a transcript, or the final message) or a WireError,
-never another exception, and neither may hang.
+One frame of the client (hello, sample, answer) or of the server (hello,
+key, challenge, decision, final) is dropped, sent twice, cut short before
+the peer's writes are shut down, or has one of its top-level values
+replaced by raw JSON that no honest peer sends.  Whatever the frame, each
+side must end in its own return value (a transcript, or the final
+message) or a WireError, never another exception, and neither may hang.
 """
 
 import socket
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clawrand import wire
@@ -25,13 +26,15 @@ _VALUES = {
     "float": "0.5",
     "deep": "[" * 100_000 + "]" * 100_000,  # past the parser's recursion limit
     "long-int": "9" * 5000,  # past the int-string digit limit
+    "wide-int": str(2**70),  # past int64
+    "inf": "1e400",  # parses as a float infinity
 }
 _HOLE = "@@hole@@"
 _OPS = ["drop", "twice", "cut", *_VALUES]
 
 
 class FuzzedChannel(wire.LineChannel):
-    """A client channel that alters its `target`-th outgoing frame."""
+    """A channel that alters its `target`-th outgoing frame."""
 
     def __init__(self, sock, target: int, op: str, key_index: int):
         sock.settimeout(wire._SOCKET_TIMEOUT)
@@ -71,19 +74,44 @@ def _run(thread_fn, outcome, side):
         outcome[side] = exc
 
 
+# The most top-level keys in one frame: the server's hello has six (fmt,
+# mode, profile, role, rounds, type).
+_KEYS = 6
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     target=st.integers(0, 12),
     op=st.sampled_from(_OPS),
-    key_index=st.integers(0, 3),
+    key_index=st.integers(0, _KEYS - 1),
 )
 def test_fuzzed_client_frame_ends_in_a_defined_outcome(target, op, key_index):
+    _fuzzed_session("client", target, op, key_index)
+
+
+@settings(max_examples=23, deadline=None)
+@given(
+    target=st.integers(0, 14),  # the server sends 15 frames in this session
+    op=st.sampled_from(_OPS),
+    key_index=st.integers(0, _KEYS - 1),
+)
+@example(target=0, op="inf", key_index=4)  # the hello's rounds
+@example(target=2, op="inf", key_index=0)  # the first challenge's c
+def test_fuzzed_server_frame_ends_in_a_defined_outcome(target, op, key_index):
+    _fuzzed_session("server", target, op, key_index)
+
+
+def _fuzzed_session(side, target, op, key_index):
     server_sock, client_sock = socket.socketpair()
     outcome = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wire, "_SOCKET_TIMEOUT", 0.2)
-        server_chan = wire.LineChannel.from_socket(server_sock)
-        client_chan = FuzzedChannel(client_sock, target, op, key_index)
+        if side == "server":
+            server_chan = FuzzedChannel(server_sock, target, op, key_index)
+            client_chan = wire.LineChannel.from_socket(client_sock)
+        else:
+            server_chan = wire.LineChannel.from_socket(server_sock)
+            client_chan = FuzzedChannel(client_sock, target, op, key_index)
 
     def serve():
         try:
