@@ -335,8 +335,9 @@ def cmd_extract(args) -> int:
 def cmd_serve(args) -> int:
     profile = _profile(args.profile)
     _ring(profile)  # refuse before listening or sending a frame
-    chan, out = _endpoint(args)
-    if chan:
+    stdio = args.transport == "stdio"
+    if stdio:
+        chan = wire.LineChannel(sys.stdin.buffer, sys.stdout.buffer)
         tr = wire.serve_session(chan, profile, args.mode, args.seed, n_rounds=args.rounds)
     else:
         tr = wire.serve_tcp(
@@ -344,25 +345,19 @@ def cmd_serve(args) -> int:
         )
     if args.transcript:
         Path(args.transcript).write_text(tr.to_jsonl())
-    _emit(tr.summary(), stream=out)
+    _emit(tr.summary(), stream=sys.stderr if stdio else None)  # stdout carries the frames
     return 0
 
 
 def cmd_connect(args) -> int:
-    chan, out = _endpoint(args)
-    if chan:
+    stdio = args.transport == "stdio"
+    if stdio:
+        chan = wire.LineChannel(sys.stdin.buffer, sys.stdout.buffer)
         final = wire.connect_session(chan, args.prover, args.seed)
     else:
         final = wire.connect_tcp(args.host, args.port, args.prover, args.seed)
-    _emit(final, stream=out)
+    _emit(final, stream=sys.stderr if stdio else None)
     return 0
-
-
-def _endpoint(args):
-    """(stdio channel or None for TCP, stream for the result, off the frames)."""
-    if args.transport == "stdio":
-        return wire.LineChannel(sys.stdin.buffer, sys.stdout.buffer), sys.stderr
-    return None, sys.stdout
 
 
 def cmd_profiles(args) -> int:

@@ -19,7 +19,6 @@ encoder of transcripts, key digests and wire frames.
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,11 +126,6 @@ def exact_int64(v) -> np.ndarray:
     """v as an int64 array.  Integer and bool arrays convert as they
     are; any other array must convert unchanged, so a fraction, NaN, inf
     or a value outside int64 is refused (ValueError or OverflowError)."""
-    if type(v) is list:
-        try:  # a flat list of ints in range, as JSON gives, without a dtype scan
-            return np.asarray(array("q", v))
-        except (TypeError, OverflowError):
-            pass  # anything else is decided below
     arr = np.asarray(v)
     if arr.dtype.kind in "biu":
         return arr.astype(np.int64, copy=False)
@@ -152,13 +146,18 @@ def vec_to_json(ring: ModRing, v) -> dict:
     return mat_to_json(ring, np.atleast_1d(v)[:, None])
 
 
-def mat_from_json(obj: dict) -> tuple[ModRing, np.ndarray]:
-    ring = ModRing(exact_int(obj["q"]))
+def int_mat_from_json(obj: dict) -> np.ndarray:
+    """obj's "data" as an int64 (rows, cols) array, its declared shape checked."""
     rows, cols = exact_int(obj["rows"]), exact_int(obj["cols"])
     data = exact_int64(obj["data"])
-    if data.size != rows * cols:
+    if rows < 0 or cols < 0 or data.size != rows * cols:
         raise ValueError("matrix data length does not match declared shape")
-    m = data.reshape(rows, cols)
+    return data.reshape(rows, cols)
+
+
+def mat_from_json(obj: dict) -> tuple[ModRing, np.ndarray]:
+    ring = ModRing(exact_int(obj["q"]))
+    m = int_mat_from_json(obj)
     if np.any((m < 0) | (m >= ring.q)):
         raise ValueError("matrix entries outside [0, q)")
     return ring, m

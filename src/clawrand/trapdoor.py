@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .gaussians import TruncGaussian
-from .modq import ModRing, exact_int, exact_int64, gadget_matrix, mat_from_json, mat_to_json, residue_grid
+from .modq import ModRing, exact_int, gadget_matrix, int_mat_from_json, mat_from_json, mat_to_json, residue_grid
 
 # A modulus with at most this many distinct blocks (q^k) keeps a table of
 # block decodes, filled as blocks are met.
@@ -87,6 +87,8 @@ class TrapdoorKey:
         return t[None, :, None] * self.A[:_FALLBACK_PREFIX].T[:, None, :] % self.ring.q
 
     def validate(self):
+        if not 1 <= self.mbar < self.m or self.R.shape != (self.m - self.mbar, self.mbar):
+            raise ValueError("trapdoor layout needs 1 <= mbar < m and R of shape (m - mbar, mbar)")
         G = gadget_matrix(self.ring, self.n)
         top = self.A[: self.mbar]
         bottom = self.A[self.mbar :]
@@ -367,8 +369,7 @@ def trapdoor_to_json(key: TrapdoorKey) -> dict:
 
 def trapdoor_from_json(obj: dict) -> TrapdoorKey:
     ring, A = mat_from_json(obj["A"])
-    r = obj["R"]
-    R = exact_int64(r["data"]).reshape(exact_int(r["rows"]), exact_int(r["cols"]))
+    R = int_mat_from_json(obj["R"])
     key = TrapdoorKey(ring=ring, A=A, R=R, mbar=exact_int(obj["layout"]["mbar"]))
     key.validate()
     return key

@@ -559,6 +559,19 @@ def _tamper_wide_int(obj, key):
     obj["e"][0] = 2**70
 
 
+def _tamper_R_rows(obj, key):
+    obj["trapdoor"]["R"]["rows"] = -1  # numpy would infer the dimension
+
+
+def _tamper_R_cols(obj, key):
+    obj["trapdoor"]["R"]["cols"] = -1
+
+
+def _tamper_mbar(obj, key):
+    # -w slices A into the same two blocks as the true mbar
+    obj["trapdoor"]["layout"]["mbar"] = -obj["trapdoor"]["R"]["rows"]
+
+
 @pytest.mark.parametrize(
     "tamper, exc, message",
     [
@@ -573,8 +586,15 @@ def _tamper_wide_int(obj, key):
         (_tamper_q_fraction, ValueError, "13.5 is not an integer"),
         (_tamper_R_fraction, ValueError, "not integers"),
         (_tamper_wide_int, OverflowError, "too large"),
+        # the trapdoor's declared shape and layout are checked, not inferred
+        (_tamper_R_rows, ValueError, "declared shape"),
+        (_tamper_R_cols, ValueError, "declared shape"),
+        (_tamper_mbar, ValueError, "1 <= mbar < m"),
     ],
-    ids=["s", "e", "u", "trapdoor", "q", "s-fraction", "A-fraction", "q-fraction", "R-fraction", "wide-int"],
+    ids=[
+        "s", "e", "u", "trapdoor", "q", "s-fraction", "A-fraction", "q-fraction", "R-fraction", "wide-int",
+        "R-rows", "R-cols", "mbar",
+    ],
 )
 def test_keypair_from_json_rejects_tampered_field(desk_key, tamper, exc, message):
     obj = keypair_to_json(desk_key)
