@@ -1,10 +1,11 @@
 """Verifier engines for the two interactive protocols, prover adapters,
 transcripts, and acceptance decisions.
 
-Protocol 1 (expansion): each round the prover commits an image y; the
+Protocol 1 (expansion): each round the prover commits one image y; the
 verifier inverts it, secretly marks the round as a test (probability
 p_test) or a generation round, and sends challenge 0 (equation) or 1
-(preimage; always 1 on generation rounds).  Equation answers are graded
+(preimage; always 1 on generation rounds).  An image is never
+re-requested: one that does not invert scores the round 0.  Equation answers are graded
 against the claw parity when d is in the good set and by a fair coin when
 it is not; preimage answers are graded by the public support check.  Keys
 are refreshed after every test round.  Every test round is scored, against
@@ -55,8 +56,6 @@ from .modq import canonical_json, exact_int, exact_int64
 from .profiles import ParameterProfile
 from .trapdoor import DecodeFailure
 
-_RESAMPLE_CAP = 16
-
 
 @dataclass
 class RoundRecord:
@@ -69,7 +68,6 @@ class RoundRecord:
     answer: dict
     w: int
     o: int  # test rounds: W; generation rounds: the recorded bit, or 2 if invalid
-    resamples: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -82,7 +80,6 @@ class RoundRecord:
             "answer": self.answer,
             "w": self.w,
             "o": self.o,
-            "resamples": self.resamples,
         }
 
 
@@ -133,7 +130,7 @@ class Transcript:
 
     def to_jsonl(self) -> str:
         head = {
-            "fmt": 1,
+            "fmt": 2,
             "mode": self.mode,
             "profile": self.profile,
             "n_rounds": self.n_rounds,
@@ -203,24 +200,21 @@ def _ask(call, *args):
 
 
 def _request_sample(key: KeyPair, prover):
-    """Ask for an image until it inverts, up to the resample cap.  Returns
-    (y, claw, resamples) with claw = (x0, x1), or None when no image
-    inverted."""
-    for attempt in range(_RESAMPLE_CAP + 1):
-        sample = _ask(prover.next_sample)
-        try:
-            y = exact_int64(sample)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedAnswer("sample entries not integers") from exc
-        if y.shape != (key.profile.m,):
-            raise MalformedAnswer(f"sample shape {y.shape}")
-        if y.min() < 0 or y.max() >= key.profile.q:
-            raise MalformedAnswer("sample entries outside [0, q)")
-        try:
-            return y, claw_from_image(key, y), attempt
-        except DecodeFailure:
-            continue
-    return y, None, _RESAMPLE_CAP
+    """Ask for the round's one image and invert it.  Returns (y, claw) with
+    claw = (x0, x1), or None when y does not invert."""
+    sample = _ask(prover.next_sample)
+    try:
+        y = exact_int64(sample)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedAnswer("sample entries not integers") from exc
+    if y.shape != (key.profile.m,):
+        raise MalformedAnswer(f"sample shape {y.shape}")
+    if y.min() < 0 or y.max() >= key.profile.q:
+        raise MalformedAnswer("sample entries outside [0, q)")
+    try:
+        return y, claw_from_image(key, y)
+    except DecodeFailure:
+        return y, None
 
 
 class SessionAbort(Exception):
@@ -264,34 +258,35 @@ def _converted(a, b, kind: str):
 
 def _play_round(key: KeyPair, prover, rng: np.random.Generator, c: int):
     """One round of the verifier's rule once the challenge c is drawn (c
-    stays on the verifier until the image is in).  Returns (y, resamples,
-    answer record, W, whether the grading coin was drawn).
+    stays on the verifier until the image is in).  Returns (y, answer
+    record, W, whether the grading coin was drawn).
 
-    A malformed sample scores 0 before any answer is asked for; an image
-    that never inverts scores 0 whatever the answer.  A preimage answer is
-    credited by the public support check; an equation answer by the claw
-    parity when d is in both good sets, and by a fair coin when it is not."""
+    The prover commits one image per round.  A malformed sample scores 0
+    before any answer is asked for; an image that does not invert scores 0
+    whatever the answer.  A preimage answer is credited by the public
+    support check; an equation answer by the claw parity when d is in both
+    good sets, and by a fair coin when it is not."""
     try:
-        y, claw, resamples = _request_sample(key, prover)
+        y, claw = _request_sample(key, prover)
     except MalformedAnswer as exc:
-        return None, 0, {"malformed": str(exc)}, 0, False
+        return None, {"malformed": str(exc)}, 0, False
     try:
         answer = _validated_answer(key, prover, c)
     except MalformedAnswer as exc:
-        return y, resamples, {"malformed": str(exc)}, 0, False
+        return y, {"malformed": str(exc)}, 0, False
     if c == 1:
         bbit, x = answer
         w = chk(key.public, bbit, x, y) if claw is not None else 0
-        return y, resamples, {"b": bbit, "x": x.tolist()}, w, False
+        return y, {"b": bbit, "x": x.tolist()}, w, False
     u, d = answer
     record = {"u": u, "d": d.tolist()}
     if claw is None:
-        return y, resamples, record, 0, False
+        return y, record, 0, False
     x0, x1 = claw
     ring = key.ring
     if in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d):
-        return y, resamples, record, int(u == claw_equation_bit(ring, x0, x1, d)), False
-    return y, resamples, record, int(rng.integers(0, 2)), True
+        return y, record, int(u == claw_equation_bit(ring, x0, x1, d)), False
+    return y, record, int(rng.integers(0, 2)), True
 
 
 def run_protocol1(
@@ -320,7 +315,7 @@ def run_protocol1(
             budget.draw(1.0)
         else:
             c = 1
-        y, resamples, answer_rec, w, coin = _play_round(key, prover, rng, c)
+        y, answer_rec, w, coin = _play_round(key, prover, rng, c)
         if coin:
             budget.draw(1.0)
         o = w if is_test else (answer_rec["b"] if w else 2)
@@ -335,7 +330,6 @@ def run_protocol1(
                 answer=answer_rec,
                 w=w,
                 o=o,
-                resamples=resamples,
             )
         )
         # transport adapters flush round framing here; local provers have no hook
@@ -467,7 +461,7 @@ def single_round_test(
         key = gen(profile, rng)
         _give_key(prover, key)
         c = int(rng.integers(0, 2))
-        w = _play_round(key, prover, rng, c)[3]
+        w = _play_round(key, prover, rng, c)[2]
         if c == 0:
             eq[w] += 1
         else:

@@ -3,11 +3,12 @@ protocols across a TCP socket or a stdio pipe.
 
 Message types: hello, key, sample, challenge, answer_eq, answer_pre,
 decision, final.  Vectors and matrices use the same JSON schema as the
-in-process serializers.  Decisions carry flow control only (resample and
-refresh flags); per-round grades stay on the verifier until the final
-message, matching the in-protocol information flow.  The trapdoor never
-crosses the wire, so trapdoor-privileged provers cannot run on the client
-side.
+in-process serializers.  A decision closes a round and carries flow
+control only (the refresh flag); per-round grades stay on the verifier
+until the final message, matching the in-protocol information flow.  The
+trapdoor never crosses the wire, so trapdoor-privileged provers cannot run
+on the client side.  The verifier's hello names the wire format, and a
+client refuses any other.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ MAX_LINE_BYTES = 1 << 20
 # Seconds a socket read or write may block: a silent or stalled peer ends
 # the session with WireError instead of hanging it.
 _SOCKET_TIMEOUT = 60.0
+# Wire format named in the verifier's hello.  A format-1 server re-requests
+# images by decision frames, which this client would count as closed rounds.
+_FMT = 2
 
 
 class WireError(SessionAbort):
@@ -97,16 +101,12 @@ class RemoteProver:
     def __init__(self, chan: LineChannel):
         self.chan = chan
         self._epoch = -1
-        self._mid_round = False
 
     def new_key(self, pub: PublicKey):
         self._epoch += 1
         self.chan.send({"type": "key", "epoch": self._epoch, **public_key_to_json(pub)})
 
     def next_sample(self):
-        if self._mid_round:
-            self.chan.send({"type": "decision", "resample": True, "refresh": False})
-        self._mid_round = True
         return self.chan.recv("sample")["y"]
 
     def answer(self, c: int, t=None):
@@ -117,8 +117,7 @@ class RemoteProver:
         return ("pre", msg["b"], msg["x"])
 
     def end_round(self, index: int, refresh: bool):
-        self._mid_round = False
-        self.chan.send({"type": "decision", "round": index, "resample": False, "refresh": refresh})
+        self.chan.send({"type": "decision", "round": index, "refresh": refresh})
 
 
 class RemoteProver2:
@@ -152,7 +151,7 @@ def serve_session(
         {
             "type": "hello",
             "role": "verifier",
-            "fmt": 1,
+            "fmt": _FMT,
             "mode": mode,
             "profile": profile.as_dict(),
             "rounds": n_rounds if n_rounds is not None else profile.N,
@@ -181,6 +180,8 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
     message."""
     chan.send({"type": "hello", "role": "prover", "prover": prover_kind})
     hello = chan.recv("hello")
+    if hello.get("fmt") != _FMT:
+        raise WireError(f"verifier speaks wire format {hello.get('fmt')!r}, expected {_FMT}")
     profile = _parse("hello", lambda: get_profile(hello["profile"]["name"]))
     mode = hello.get("mode")
     if mode not in ("protocol1", "protocol2"):
@@ -216,10 +217,8 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
                 chan.send({"type": "answer_pre", "b": _plain(a), "x": _plain(b)})
             sample = False
         elif kind == "decision":
-            sample = msg.get("resample")
-            if not sample:
-                rounds_done += 1
-                sample = not msg.get("refresh") and rounds_done < rounds
+            rounds_done += 1
+            sample = not msg.get("refresh") and rounds_done < rounds
         else:
             raise WireError(f"unexpected message {kind!r}")
         if sample:

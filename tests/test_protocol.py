@@ -80,13 +80,39 @@ def test_protocol1_good_equations_always_pass_for_ideal():
 
 
 def test_protocol1_rejects_garbage_prover():
+    class Counting(RandomNoiseProver):
+        samples = 0
+
+        def next_sample(self):
+            self.samples += 1
+            return super().next_sample()
+
     prof = get_profile("desk-protocol")
-    prover = RandomNoiseProver(substream(4, "prover"))
+    prover = Counting(substream(4, "prover"))
     tr = run_protocol1(prof, prover, substream(4, "verifier"), n_rounds=200)
     assert not tr.accepted
-    # uninvertible samples burn the whole re-request budget, then score 0
-    assert all(r.resamples == 16 for r in tr.records)
-    assert all(r.w == 0 for r in tr.records if r.round_type == "test")
+    # one image per round: an uninvertible one is never re-requested, and scores 0
+    assert prover.samples == len(tr.records) == 200
+    tests = [r for r in tr.records if r.round_type == "test"]
+    assert tests and all(r.w == 0 for r in tests)
+
+
+def test_garbage_trial_decodes_one_image(monkeypatch):
+    # the verifier's cost under attack, pinned as a count: one trapdoor
+    # decode per single-round trial, however the image fails to invert
+    from clawrand import protocol
+
+    calls = []
+
+    def counted(key, y):
+        calls.append(y)
+        return claw_from_image(key, y)
+
+    monkeypatch.setattr(protocol, "claw_from_image", counted)
+    prover = RandomNoiseProver(substream(9, "prover"))
+    report = single_round_test(get_profile("desk-protocol"), prover, 1, substream(9, "verifier"))
+    assert len(calls) == 1
+    assert report.successes == 0
 
 
 def test_protocol1_key_refresh_audit():
