@@ -2,10 +2,10 @@
 
 Each case runs protocol 1, protocol 2 or the single-round test and hashes
 what the verifier produced: the transcript (to_jsonl) together with its
-summary, or the single-round report.  The digests were taken before the
-verifier's grading was folded into one function.  A change that only
-restructures the verifier must leave every digest as it is; a change that
-alters one is a change of behaviour and must say so.
+summary, or the single-round report.  The transcript digests are of
+transcript format 2.  A change that only restructures the verifier must
+leave every digest as it is; a change that alters one is a change of
+behaviour and must say so.
 """
 
 import hashlib
@@ -65,34 +65,34 @@ class FlakyProver(CommittedPreimageProver):
 
 PROTOCOL1 = {
     ("micro", "ideal", 200):
-        "272a965a132fbf27e399e5d23186d05c2f5b29e42a95b01f6df6314e9bb6eb79",
+        "da14e04d353c146eb076d9195294f4dd12d43d52e6744ba767048c2b2d6719fc",
     ("micro", "classical-committed", 200):
-        "b5a446e948d45b504adbb6aa8497364d8fb4756717ce8c53bce16db6eea7518d",
+        "a6d9a6ebad9cfd455055bef57bad97f3eb6b3b985c0f84a9998a7737862c4541",
     ("micro", "classical-replay", 200):
-        "184dba1f2c50db6380c949626ba728e0f21a245267a0b8effd3fc2bec4382d88",
+        "a5e2cc5289b40f70cfa2764b6df7ba84b27cced736cdff0b812f35c2382af3c3",
     ("micro", "qsim-micro", 200):
-        "5a263a36533304325316de5535e26ca0aefb94c065cc306bf974293b3a4af6b1",
+        "3a9ececde94c9eb8c2b4b3a99bd0eaf43f092fb96f79610f41cc562b94e19fce",
     ("micro", "flaky", 200):
-        "e6e9f89f50772517c57283db88a5738044d23197ffc04d9a6da116089f845432",
+        "9b3382d4ae5a4423a4e2c7143348fddf993cd7c8c0c6c6f6066b6e65b141081c",
     ("desk-small", "ideal", 150):
-        "58aedb4063ec935cbe8bf0e3665b3d518f7788bf5e8413653c49ee94a7e49565",
+        "6345e931e9cade76d71bf379e359f040c72befb2df3ea3fa70bce8b4c465ea4a",
     ("desk-small", "classical-committed", 150):
-        "ac0c9f118d3e7e219f69c0e208a1dcf9b71159d25491d35512e9f539dc08d246",
+        "03448684f9763858953c360238cbebfcd4abd6fee26ea14c520c42052655b8ee",
     ("desk-small", "classical-replay", 150):
-        "081ada16ab734fd5613582d0c7ba45237eee316d690cd84317036a1af5cd7b66",
+        "4eea105e475bf4b1f65acbd27a753ec8f7c1993b9f41a830e91241323590135a",
     ("desk-protocol", "ideal", 100):
-        "9e82f156ea985ff820611e8e3fe8028b23dfbf5cc8cafb4736f78466d246a95a",
+        "d1ebfe0130d2fbdf5716fefd91872fd991aa2127868f3b7a45336b9f32e86178",
     ("desk-protocol", "classical-committed", 100):
-        "2eb8b59103c66ca37b86a488695db77505235c394f8a4245173b482a661bea85",
+        "c769c764e88dfd5a7fecc24ce0d4abd38755406539f05cfa6850105441306edb",
     ("desk-protocol", "classical-replay", 100):
-        "4e5cbdcf84ea0e58621e73f794c4a200e87b3aa78cb0c2a7245c5df1a9cc94ef",
+        "2964c8fb733ea16a0dd37e2ffbf48b873dc2ddf82359da8627a79656de47445e",
     ("desk-protocol", "classical-random", 16):
-        "9e74ff58d56432a42400e4f830c9b3c873ece787469c6b8da0b4a6fd1be7bdad",
+        "0bede5cf1c1320cabd1740189641a405ff34de29e20f98de4ca76c29b6cfac74",
 }
 
 PROTOCOL2 = {
-    "device-honest": "69309dca90a0caa0cafec11784552dba56b4109571de375a1dd11b33113c5036",
-    "device-constant": "3e5b8f65ef5392c5e7a2df969c38233272743f2af0191fc4d79503c06c63c476",
+    "device-honest": "637f8e81f7589bdcda0e278a1cd6a77e94b6284a742cbb645c62cf933b162983",
+    "device-constant": "46f8213ce9a51e9344c1c8933b26bc528f53b45d15932f485506fe5c42ba2de2",
 }
 
 SINGLE_ROUND = {
