@@ -5,12 +5,13 @@ Protocol 1 (expansion): each round the prover commits one image y; the
 verifier inverts it, secretly marks the round as a test (probability
 p_test) or a generation round, and sends challenge 0 (equation) or 1
 (preimage; always 1 on generation rounds).  An image is never
-re-requested: one that does not invert scores the round 0.  Equation answers are graded
-against the claw parity when d is in the good set and by a fair coin when
-it is not; preimage answers are graded by the public support check.  Keys
-are refreshed after every test round.  Every test round is scored, against
-the threshold (1 - gamma) * p_test * N.  The single-round test grades one
-round with a fresh key by the same round rule.
+re-requested: one that does not invert scores the round 0.  Equation
+answers are graded against the claw parity when d is in the good set and
+by a fair coin when it is not; preimage answers are graded by the public
+support check.  Keys are refreshed after every test round.  Every test
+round is scored, against the threshold (1 - gamma) * p_test * N.  The
+single-round test grades one round with a fresh key by the same round
+rule.
 
 Protocol 2 (simplified): no keys and no images; the prover reports its
 own pass bit e (plus a subspace bit k when probed with T = 1) on
