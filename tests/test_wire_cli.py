@@ -57,8 +57,8 @@ def test_socket_matches_local_byte_for_byte(prover_kind, cls):
 
 
 def test_socket_garbage_prover_matches_local():
-    # a garbage prover's images do not invert; each round still takes one
-    # sample frame, and the socket transcript matches the local one
+    # a garbage prover's images do not invert; the socket transcript
+    # still matches the local one
     from clawrand.protocol import RandomNoiseProver
 
     profile = get_profile("desk-small")
