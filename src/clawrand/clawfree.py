@@ -175,14 +175,19 @@ def inv(key: KeyPair, b: int, y) -> np.ndarray:
     """Invert branch b: decode y = A*s0 + e0 and return s0 - b*s."""
     if b not in (0, 1):
         raise ValueError("branch bit must be 0 or 1")
-    s0, _ = invert_sample(key, y)
-    return key.ring.reduce(s0 - b * key.s_bits)
+    return claw_from_image(key, y)[b]
 
 
 def claw_partner(key: KeyPair, b: int, x) -> np.ndarray:
     """The other endpoint of the claw through (b, x): x -+ s."""
     sign = -1 if b == 0 else 1
     return key.ring.reduce(np.asarray(x) + sign * key.s_bits)
+
+
+def claw_through(key: KeyPair, b: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """(x0, x1) for the claw with x as its branch-b endpoint."""
+    x0 = np.asarray(x) if b == 0 else claw_partner(key, 1, x)
+    return x0, claw_partner(key, 0, x0)
 
 
 def claw_from_image(key: KeyPair, y) -> tuple[np.ndarray, np.ndarray]:
@@ -236,19 +241,19 @@ def in_good_set(ring: ModRing, b: int, x, d) -> bool:
 def in_claw_good_set(key: KeyPair, b: int, x, d) -> bool:
     """Membership in the intersection good set, computed from one claw
     endpoint and the secret; symmetric in the endpoint used."""
-    x0 = np.asarray(x) if b == 0 else claw_partner(key, 1, x)
-    x1 = claw_partner(key, 0, x0)
-    ring = key.ring
+    return _claw_good(key.ring, *claw_through(key, b, x), d)
+
+
+def _claw_good(ring: ModRing, x0, x1, d) -> bool:
     return in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d)
 
 
 def classify_hardcore(key: KeyPair, b: int, x, d, c: int) -> str:
     """Place a candidate tuple: 'correct' if c is the claw parity along a
     good d, 'flipped' if it is the complement, 'excluded' otherwise."""
-    if not in_claw_good_set(key, b, x, d):
+    x0, x1 = claw_through(key, b, x)
+    if not _claw_good(key.ring, x0, x1, d):
         return "excluded"
-    x0 = np.asarray(x) if b == 0 else claw_partner(key, 1, x)
-    x1 = claw_partner(key, 0, x0)
     truth = claw_equation_bit(key.ring, x0, x1, d)
     return "correct" if int(c) & 1 == truth else "flipped"
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clawfree import KeyPair, PublicKey, claw_equation_bit, claw_partner, sample_branch
+from .clawfree import KeyPair, PublicKey, claw_equation_bit, claw_through, sample_branch
 from .gaussians import hellinger_sq
 from .modq import MAX_GRID, SizeGuardError, residue_grid
 
@@ -182,7 +182,5 @@ class IdealProver:
         key = self._key
         w = key.profile.w
         d = self.rng.integers(0, 2, size=w, dtype=np.int64)
-        x0 = self._x if self._b == 0 else claw_partner(key, 1, self._x)
-        x1 = claw_partner(key, 0, x0)
-        u = claw_equation_bit(key.ring, x0, x1, d)
+        u = claw_equation_bit(key.ring, *claw_through(key, self._b, self._x), d)
         return ("eq", u, d)

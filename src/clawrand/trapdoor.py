@@ -8,36 +8,33 @@ G*s + [R | I]*e, which is decoded blockwise in the gadget lattice.
 
 Blockwise decoding is Babai's nearest-plane against the scaled inverse
 transpose of the bidiagonal basis (2 on the diagonal, -1 below, last
-column the binary expansion of q) of the gadget's perp lattice.  When the
-caller supplies a noise bound, a decode is accepted only if the residual
-y - A*s has centered norm within the bound; if the nearest-plane answer
-fails that check, nearby block codewords are tried before reporting
-failure.  Every block ranks its codewords by syndrome distance in one
-batched sort, and the repairs of one block, then (at small n) of two
-blocks are each checked as one array, in a fixed order whose first hit
-wins; squared centered residues come from a table of size O(q) cached per
-modulus.  A residual's squared norm over its first rows is a sum of some
-of its non-negative terms, hence a lower bound on the whole: every
-candidate is first built on a fixed prefix of rows, and only those within
-the bound there are built in full, so refusing a garbage image costs a
-fraction of the residual rows.  A returned answer always satisfies
-y = A*s + e exactly.
+column the binary expansion of q) of the gadget's perp lattice.  A decode
+is accepted only if the residual y - A*s has centered norm within the
+caller's noise bound; if the nearest-plane answer fails that check,
+nearby block codewords are tried before reporting failure.  Every block
+ranks its codewords by syndrome distance in one batched sort, and the
+repairs of one block, then (at small n) of two blocks are each checked as
+one array, in a fixed order whose first hit wins; squared centered
+residues come from a table of size O(q) cached per modulus.  A
+residual's squared norm over its first rows is a sum of some of its
+non-negative terms, hence a lower bound on the whole: every candidate is
+first built on a fixed prefix of rows, and only those within the bound
+there are built in full, so refusing a garbage image costs a fraction of
+the residual rows.  A returned answer always satisfies y = A*s + e
+exactly.
 
 A block's nearest-plane value and ranked codewords depend only on its k
 residues.  Where q^k <= 2^16 (q <= 16) they are kept in a per-modulus
 block table, filled row by row the first time a block is met, so a
-decode gathers its n rows in one lookup.  Each key keeps the prefix
-multiples t*A[:p, j] mod q for every column j and t in Z_q, built on its
-first fallback search, so the candidates' prefix rows are one gather as
-well.  Both are caches of the same two computations, so every outcome is
-the one they give.
+decode gathers its n rows in one lookup.  The table is a cache of that
+computation, so every outcome is the one it gives.  A key holds no decode
+state: a fallback search builds its candidates' prefix rows from A.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -76,15 +73,6 @@ class TrapdoorKey:
     @property
     def w(self) -> int:
         return self.n * self.ring.coord_bits
-
-    @cached_property
-    def prefix_multiples(self) -> np.ndarray:
-        """t*A[:p, j] mod q for every column j and t in Z_q, shape (n, q, p)
-        with p = min(_FALLBACK_PREFIX, m): the leading rows of every
-        fallback candidate's column delta, built on the key's first
-        fallback search."""
-        t = np.arange(self.ring.q, dtype=np.int64)
-        return t[None, :, None] * self.A[:_FALLBACK_PREFIX].T[:, None, :] % self.ring.q
 
     def validate(self):
         if not 1 <= self.mbar < self.m or self.R.shape != (self.m - self.mbar, self.mbar):
@@ -208,13 +196,10 @@ def _block_rows(ring: ModRing, data: dict, r: np.ndarray) -> np.ndarray:
     return rows
 
 
-def invert(key: TrapdoorKey, y, max_norm: float | None = None):
-    """Recover (s, e) with y = A*s + e exactly.
-
-    If max_norm is given, the centered norm of e must not exceed it; a
-    decode whose residual violates the bound raises DecodeFailure after
-    the fallback search is exhausted.  With max_norm=None the nearest-plane
-    answer is returned unchecked.
+def invert(key: TrapdoorKey, y, max_norm: float):
+    """Recover (s, e) with y = A*s + e exactly and the centered norm of e
+    within max_norm; a decode whose residual violates the bound raises
+    DecodeFailure after the fallback search is exhausted.
     """
     ring = key.ring
     y = np.asarray(y, dtype=np.int64)
@@ -225,7 +210,7 @@ def invert(key: TrapdoorKey, y, max_norm: float | None = None):
     rows = _block_rows(ring, data, r)
     s = rows[:, 0].astype(np.int64)
     e = ring.centered(y - ring.matmul(key.A, s))
-    if max_norm is None or math.sqrt(float((e * e).sum())) <= max_norm:
+    if math.sqrt(float((e * e).sum())) <= max_norm:
         return s, e
     ranked = rows[:, 1:] if "table" in data else _rank_codewords(ring, data, ring.centered(r))
     s = _fallback_search(key, data, ranked, e, s, max_norm)
@@ -251,17 +236,21 @@ def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
     owner, rank = np.nonzero(ranked != s_primary[:, None])
     value = ranked[owner, rank]
     # the column delta (s_primary[j] - t) * A[:, j] mod q of a candidate
-    # is step * A[:, j]: its prefix rows are looked up, the rest built
+    # is step * A[:, j]: its prefix rows are built for every candidate,
+    # the rest for prefix survivors only
     step = (s_primary[owner] - value) % q
     r0 = e0 % q
     p = min(_FALLBACK_PREFIX, key.m)
 
-    def tail(cand):
-        d = key.A.T[owner[cand], p:] * step[cand, None]
+    def delta(cand, rows):
+        d = key.A.T[owner[cand], rows] * step[cand, None]
         d %= q
         return d
 
-    head = key.prefix_multiples[owner, step]
+    def tail(cand):
+        return delta(cand, slice(p, None))
+
+    head = delta(slice(None), slice(None, p))
     s = s_primary.copy()
     i = _first_within(sq, head + r0[:p], lambda live: tail(live) + r0[p:], max_norm)
     if i is not None:

@@ -198,6 +198,9 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
 
     rounds_done = 0
     keyed = False
+    # whether this client's last frame was a sample: a challenge answers
+    # exactly that sample, so one without it has no state to answer from
+    sample = False
     while True:
         msg = chan.recv()
         kind = msg.get("type")
@@ -210,6 +213,8 @@ def connect_session(chan: LineChannel, prover_kind: str, seed: int) -> dict:
             keyed = True
             sample = rounds_done < rounds
         elif kind == "challenge":
+            if not sample:
+                raise WireError("challenge frame without a sample to answer")
             tag, a, b = prover.answer(_parse("challenge", lambda: exact_int(msg["c"])))
             if tag == "eq":
                 chan.send({"type": "answer_eq", "u": _plain(a), "d": _plain(b)})

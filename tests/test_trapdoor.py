@@ -276,7 +276,7 @@ def test_invert_outcomes_pinned():
                     e = ring.centered(noise.sample_vec(rng, prof.m))
                     y = ring.reduce(ring.matmul(key.A, x) + e)
                     max_norm = max(bound, math.sqrt(float((e * e).sum())) + 1e-9)
-                    s_primary, _ = invert(key, y)
+                    s_primary, _ = invert(key, y, max_norm=math.inf)
                     try:
                         s, e2 = invert(key, y, max_norm=max_norm)
                     except DecodeFailure as exc:
@@ -298,7 +298,7 @@ def _fallback_reference(key, y, max_norm):
     g = ring.reduce(1 << np.arange(k, dtype=np.int64))
     tbl = ring.reduce(np.outer(np.arange(ring.q, dtype=np.int64), g))
     c = ring.reduce(key.R @ y[: key.mbar] + y[key.mbar :])
-    s_primary, e0 = invert(key, y)
+    s_primary, e0 = invert(key, y, max_norm=math.inf)
 
     def fits(e):
         e = ring.centered(e).astype(float)
@@ -370,7 +370,7 @@ def test_fallback_matches_loop_reference(name, widths):
                         continue
                     s, _ = invert(key, y, max_norm=max_norm)
                     assert np.array_equal(s, want)
-                    moved = int((want != invert(key, y)[0]).sum())
+                    moved = int((want != invert(key, y, max_norm=math.inf)[0]).sum())
                     if moved:
                         paths[("single", "pair")[moved - 1]] += 1
     assert paths["single"] and paths["failure"], paths
@@ -387,7 +387,7 @@ def test_fallback_accepts_prefix_residual_at_the_bound():
     e = np.zeros(key.m, dtype=np.int64)
     e[key.mbar : key.mbar + 4] = (-2, 2, 2, -2)
     y = ring.reduce(e)
-    assert invert(key, y)[0].any()
+    assert invert(key, y, max_norm=math.inf)[0].any()
     s, e2 = invert(key, y, max_norm=4.0)
     assert not s.any()
     assert np.array_equal(e2, e)
@@ -411,7 +411,7 @@ def test_fallback_checks_full_norm_of_prefix_survivors():
     e = np.zeros(m, dtype=np.int64)
     e[mbar + 4 : mbar + 8] = (3, 3, 3, -3)
     y = ring.reduce(e)
-    assert np.flatnonzero(invert(key, y)[0]).tolist() == [1]
+    assert np.flatnonzero(invert(key, y, max_norm=math.inf)[0]).tolist() == [1]
     s, e2 = invert(key, y, max_norm=6.0)
     assert not s.any()
     assert np.array_equal(e2, e)

@@ -450,12 +450,24 @@ _FINAL = '{"type":"final","accepted":false,"test_passes":0,"test_rounds":0}'
     ("connect", [_MICRO_HELLO, _micro_key_frame("1.5"), _FINAL]),
     ("connect", [_MICRO_HELLO, _micro_key_frame(), '{"type":"challenge","c":1e400}']),
     ("connect", [_MICRO_HELLO.replace('"rounds":1', '"rounds":1e400')]),
+    # a challenge answers the client's last sample and no other state: one
+    # before any sample, a second one, and one after a refresh decision
+    ("connect-qsim", [_MICRO_HELLO.replace('"rounds":1', '"rounds":0'), _micro_key_frame(),
+                      '{"type":"challenge","c":0,"t":null}']),
+    ("connect-qsim", [_MICRO_HELLO, _micro_key_frame(), '{"type":"challenge","c":1,"t":null}',
+                      '{"type":"challenge","c":1,"t":null}', _FINAL]),
+    ("connect-qsim", [_MICRO_HELLO.replace('"rounds":1', '"rounds":2'), _micro_key_frame(),
+                      '{"type":"challenge","c":0,"t":null}',
+                      '{"type":"decision","round":0,"refresh":true}',
+                      '{"type":"challenge","c":0,"t":null}', _FINAL]),
 ])
 def test_cli_stdio_malformed_frames_exit_protocol(role, lines):
-    # a peer's frame that is not an object, or lacks the fields its type
-    # needs, ends the session as a protocol violation, never a traceback
+    # a peer's frame that is not an object, lacks the fields its type
+    # needs, or comes out of turn, ends the session as a protocol
+    # violation, never a traceback
     argv = {
         "connect": ["connect", "--prover", "classical-committed"],
+        "connect-qsim": ["connect", "--prover", "qsim-micro"],
         "serve": ["serve", "--profile", "micro", "--rounds", "5"],
     }[role]
     r = subprocess.run(
