@@ -45,7 +45,11 @@ class TruncGaussian:
         dens[np.mod(support_c, q)] = weights / tau
         self._table["support_centered"] = support_c
         self._table["density"] = dens
-        self._table["cdf"] = np.cumsum(weights / tau)
+        cdf = np.cumsum(weights / tau)
+        # the float sum can end just below 1, under the largest draw of
+        # rng.random(), 1 - 2^-53; pinned, every draw in [0, 1) has an entry
+        cdf[-1] = 1.0
+        self._table["cdf"] = cdf
 
     # -- densities -------------------------------------------------------
 

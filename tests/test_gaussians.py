@@ -73,6 +73,20 @@ def test_sampler_degenerate_width():
     assert np.all(d.sample_vec(rng, 100) == 0)
 
 
+class _TopDrawRng:
+    """Every draw is the largest rng.random() can return, 1 - 2^-53."""
+
+    def random(self, m):
+        return np.full(m, np.nextafter(1.0, 0.0))
+
+
+def test_sampler_maps_the_largest_draw_to_the_last_support_entry():
+    # the float cdf of this width sums to 1 - 2^-52, below the largest draw
+    d = TruncGaussian(ModRing(3), 1.1)
+    assert d._table["cdf"][-1] == 1.0
+    assert np.array_equal(d.sample_vec(_TopDrawRng(), 4), [1, 1, 1, 1])
+
+
 def test_sampler_deterministic_and_symmetric():
     d = dist(7, 2.0)
     a = d.sample_vec(np.random.default_rng(42), 50)
