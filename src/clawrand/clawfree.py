@@ -26,7 +26,20 @@ from functools import cached_property
 import numpy as np
 
 from .gaussians import TruncGaussian
-from .modq import MAX_GRID, ModRing, SizeGuardError, bit_encode, exact_int64, mat_from_json, mat_to_json, residue_grid, vec_from_json, vec_to_json
+from .modq import (
+    MAX_GRID,
+    ModRing,
+    SizeGuardError,
+    bit_encode,
+    canonical_json,
+    exact_int64,
+    mat_from_json,
+    mat_json_text,
+    mat_to_json,
+    residue_grid,
+    vec_from_json,
+    vec_to_json,
+)
 from .profiles import ParameterProfile
 from .trapdoor import (
     DecodeFailure,
@@ -409,6 +422,16 @@ def public_key_to_json(pub: PublicKey) -> dict:
         "u": vec_to_json(pub.ring, pub.u),
         "profile": pub.profile.as_dict(),
     }
+
+
+def public_key_json_text(pub: PublicKey) -> str:
+    """canonical_json(public_key_to_json(pub)): the text keygen writes and
+    the key digests hash, with A and u rendered by mat_json_text."""
+    ring = pub.ring
+    return (
+        f'{{"A":{mat_json_text(ring, pub.A)},"profile":{canonical_json(pub.profile.as_dict())},'
+        f'"u":{mat_json_text(ring, np.atleast_1d(pub.u)[:, None])}}}'
+    )
 
 
 def public_key_from_json(obj: dict, profile: ParameterProfile) -> PublicKey:

@@ -29,7 +29,7 @@ from .clawfree import (
     moderate_fraction_bound,
     parity_tv,
     parity_tv_bound,
-    public_key_to_json,
+    public_key_json_text,
 )
 from .devices import (
     honest_qubit_device,
@@ -128,7 +128,7 @@ def cmd_keygen(args) -> int:
     profile = _profile(args.profile)
     _ring(profile)
     key = gen(profile, substream(args.seed, "keygen"))
-    Path(args.public_out).write_text(canonical_json(public_key_to_json(key.public)) + "\n")
+    Path(args.public_out).write_text(public_key_json_text(key.public) + "\n")
     if args.secret_out:
         Path(args.secret_out).write_text(canonical_json(keypair_to_json(key)) + "\n")
     print(f"wrote public key to {args.public_out}" + (f", secret to {args.secret_out}" if args.secret_out else ""))

@@ -13,11 +13,17 @@ operations are pure; values are never mutated in place.
 An integer array becomes JSON only through ``.tolist()``, which yields
 builtin ints, in the JSON writers (``mat_to_json``, the key and trapdoor
 writers, round records and wire frames); ``canonical_json`` is the one
-encoder of transcripts, key digests and wire frames.
+encoder of transcripts and wire frames.  A public key's text, which
+``keygen --public-out`` writes and the key digests hash, is the one
+exception: ``mat_json_text`` renders a matrix's canonical text from a
+per-modulus table of encoded residues instead of formatting each through
+``json``.  It is the exact string ``canonical_json(mat_to_json(...))``,
+and ``tests/test_json_writers.py`` pins the two together.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -103,14 +109,29 @@ def bit_encode(ring: ModRing, x) -> np.ndarray:
     return ((x[:, None] >> shifts) & 1).reshape(-1)
 
 
+@functools.lru_cache(maxsize=64)
 def gadget_matrix(ring: ModRing, n: int) -> np.ndarray:
-    """Block-diagonal (n*k, n) matrix with per-coordinate columns (1,2,4,...)."""
+    """Block-diagonal (n*k, n) matrix with per-coordinate columns (1,2,4,...).
+
+    Built once per (q, n) and shared, so it is read-only."""
     k = ring.coord_bits
     g = 1 << np.arange(k, dtype=np.int64)  # 2^(k-1) < q
     G = np.zeros((n, k, n), dtype=np.int64)
     i = np.arange(n)
     G[i, :, i] = g
-    return G.reshape(n * k, n)
+    G = G.reshape(n * k, n)
+    G.flags.writeable = False
+    return G
+
+
+def floor_mod(a: np.ndarray, q: int) -> np.ndarray:
+    """np.mod(a, q) for an int64 array a, as a - (a // q) * q: numpy
+    vectorises int64 floor division by a scalar but not int64 np.mod, so
+    on a block of thousands of entries this is about twice as fast."""
+    r = a // q
+    r *= q
+    np.subtract(a, r, out=r)
+    return r
 
 
 def exact_int(v) -> int:
@@ -140,6 +161,26 @@ def mat_to_json(ring: ModRing, m) -> dict:
     m = np.atleast_2d(m)
     rows, cols = m.shape
     return {"q": ring.q, "rows": rows, "cols": cols, "data": m.reshape(-1).tolist()}
+
+
+@functools.lru_cache(maxsize=16)
+def _residue_text(q: int) -> np.ndarray:
+    # "r," in ASCII for every residue r, NUL-padded to 4 or 8 bytes and
+    # viewed as one unsigned integer each, so a gather is a plain copy
+    width = 4 if q <= 1000 else 8
+    return np.array([f"{r},".encode() for r in range(q)], dtype=f"S{width}").view(f"u{width}")
+
+
+def mat_json_text(ring: ModRing, m) -> str:
+    """canonical_json(mat_to_json(ring, m)) for residues m, each entry's
+    text gathered from a per-modulus table.  Refuses (ValueError) an entry
+    outside [0, q) rather than letting a negative index wrap."""
+    m = np.atleast_2d(m)
+    rows, cols = m.shape
+    if m.size and (m.min() < 0 or m.max() >= ring.q):
+        raise ValueError("matrix entries outside [0, q)")
+    data = _residue_text(ring.q)[m.reshape(-1)].tobytes().translate(None, b"\0")[:-1].decode()
+    return f'{{"cols":{cols},"data":[{data}],"q":{ring.q},"rows":{rows}}}'
 
 
 def vec_to_json(ring: ModRing, v) -> dict:

@@ -47,7 +47,7 @@ from .clawfree import (
     claw_from_image,
     gen,
     in_good_set,
-    public_key_to_json,
+    public_key_json_text,
     sample_branch,
     wilson_interval,
 )
@@ -181,8 +181,7 @@ class _Budget:
 
 
 def _key_digest(key: KeyPair) -> str:
-    blob = canonical_json(public_key_to_json(key.public))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return hashlib.sha256(public_key_json_text(key.public).encode()).hexdigest()[:16]
 
 
 def _give_key(prover, key: KeyPair):

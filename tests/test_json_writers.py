@@ -1,16 +1,19 @@
 """The JSON writers hand the encoder builtin ints only, and their text is
-the text of the per-element conversion they replaced."""
+the text of the per-element conversion they replaced.  The table-rendered
+key text (mat_json_text, public_key_json_text) is the canonical_json text
+of the dict writers, byte for byte."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from clawrand import wire
-from clawrand.clawfree import gen, keypair_to_json, public_key_to_json
-from clawrand.modq import canonical_json, mat_to_json, vec_to_json
+from clawrand import cli, wire
+from clawrand.clawfree import gen, keypair_to_json, public_key_json_text, public_key_to_json
+from clawrand.modq import ModRing, canonical_json, mat_json_text, mat_to_json, vec_to_json
 from clawrand.profiles import get_profile
-from clawrand.protocol import prover_catalog, run_protocol1
+from clawrand.protocol import _key_digest, prover_catalog, run_protocol1
 from clawrand.rngstream import substream
 from clawrand.trapdoor import trapdoor_to_json
 
@@ -123,12 +126,46 @@ def test_key_writers_emit_builtin_ints_and_unchanged_text(name):
     for out, ref in cases:
         _assert_builtin(out)
         assert canonical_json(out) == _reference_json(ref)
+    assert public_key_json_text(key.public) == canonical_json(public_key_to_json(key.public))
     out = keypair_to_json(key)
     for v in (out["s"], out["e"], out["public"]["A"]["data"], out["public"]["u"]["data"]):
         _assert_int_list(v)
     if key.gadget is not None:
         _assert_int_list(out["trapdoor"]["R"]["data"])
         assert min(out["trapdoor"]["R"]["data"]) < 0  # signed entries survive
+
+
+# residues of 1 to 4 digits, at prime, composite and power-of-two moduli
+@pytest.mark.parametrize("q", [2, 10, 11, 61, 100, 101, 1000, 4093, 4096])
+def test_mat_json_text_is_the_canonical_text(q):
+    ring = ModRing(q)
+    rng = np.random.default_rng(q)
+    for shape in [(7, 5), (9, 1), (0, 4), (1, 1)]:
+        m = ring.uniform(rng, shape)
+        if m.size >= 2:
+            m.flat[0], m.flat[-1] = 0, q - 1
+        assert mat_json_text(ring, m) == canonical_json(mat_to_json(ring, m))
+    every = np.arange(q, dtype=np.int64)
+    assert mat_json_text(ring, every) == canonical_json(mat_to_json(ring, every))
+    assert mat_json_text(ring, every[:, None]) == canonical_json(vec_to_json(ring, every))
+
+
+@pytest.mark.parametrize("bad", [-1, 13, 1 << 40, -(1 << 40)])
+def test_mat_json_text_refuses_entries_outside_the_ring(bad):
+    m = np.array([[0, 5], [12, bad]], dtype=np.int64)
+    with pytest.raises(ValueError, match="outside"):
+        mat_json_text(ModRing(13), m)
+
+
+@pytest.mark.parametrize("name", ["micro", "desk-protocol"])
+def test_key_digest_hashes_the_keygen_public_file(name, tmp_path, capsys):
+    path = tmp_path / "pub.json"
+    assert cli.main(["keygen", "--profile", name, "--seed", "11", "--public-out", str(path)]) == 0
+    capsys.readouterr()
+    text = path.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    key = gen(get_profile(name), substream(11, "keygen"))
+    assert _key_digest(key) == hashlib.sha256(text[:-1].encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("name,prover_kind", [

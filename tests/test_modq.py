@@ -12,6 +12,7 @@ from clawrand.modq import (
     SizeGuardError,
     bit_encode,
     canonical_json,
+    floor_mod,
     gadget_matrix,
     mat_from_json,
     mat_to_json,
@@ -76,6 +77,21 @@ def test_gadget_matrix_examples():
     assert np.array_equal(ring.matmul(G, [5]), [5, 10, 7, 1])
     assert np.array_equal(ring.matmul(G, [0]), [0, 0, 0, 0])
     assert gadget_matrix(ModRing(5), 2).shape == (6, 2)
+
+
+def test_gadget_matrix_is_shared_and_read_only():
+    G = gadget_matrix(ModRing(13), 3)
+    assert gadget_matrix(ModRing(13), 3) is G
+    with pytest.raises(ValueError):
+        G[0, 0] = 5
+    assert G[0, 0] == 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, MAX_Q), st.lists(st.integers(-(1 << 40), 1 << 40), min_size=0, max_size=40))
+def test_floor_mod_equals_np_mod(q, values):
+    a = np.array(values, dtype=np.int64)
+    assert np.array_equal(floor_mod(a, q), np.mod(a, q))
 
 
 @settings(max_examples=60, deadline=None)
