@@ -60,7 +60,7 @@ class ModRing:
         return coord_bits(self.q)
 
     def reduce(self, a) -> np.ndarray:
-        return np.mod(np.asarray(a, dtype=np.int64), self.q)
+        return _mod(np.asarray(a, dtype=np.int64), self.q)
 
     def centered(self, a) -> np.ndarray:
         """Unique representative in (-q/2, q/2] of each entry."""
@@ -81,7 +81,20 @@ class ModRing:
     def matmul(self, a, b) -> np.ndarray:
         """a @ b mod q for a canonical and |b| < q: every partial sum is
         below inner * q^2 <= inner * 2^24, exact in int64."""
-        return np.mod(a @ b, self.q)
+        return _mod(a @ b, self.q)
+
+
+# numpy vectorises int64 floor division by a scalar but not int64 np.mod,
+# so from about this many entries a - (a // q) * q is faster (half the time
+# on gen_trap's 128x32 block); below it one np.mod call is cheaper than three
+_FLOOR_DIV_MIN = 2048
+
+
+def _mod(a: np.ndarray, q: int) -> np.ndarray:
+    """a mod q in [0, q) for an int64 array a, out of place."""
+    if a.size < _FLOOR_DIV_MIN:
+        return np.mod(a, q)
+    return a - (a // q) * q
 
 
 # The one enumeration limit: the most rows residue_grid builds, and the most
@@ -109,29 +122,14 @@ def bit_encode(ring: ModRing, x) -> np.ndarray:
     return ((x[:, None] >> shifts) & 1).reshape(-1)
 
 
-@functools.lru_cache(maxsize=64)
 def gadget_matrix(ring: ModRing, n: int) -> np.ndarray:
-    """Block-diagonal (n*k, n) matrix with per-coordinate columns (1,2,4,...).
-
-    Built once per (q, n) and shared, so it is read-only."""
+    """Block-diagonal (n*k, n) matrix with per-coordinate columns (1,2,4,...)."""
     k = ring.coord_bits
     g = 1 << np.arange(k, dtype=np.int64)  # 2^(k-1) < q
     G = np.zeros((n, k, n), dtype=np.int64)
     i = np.arange(n)
     G[i, :, i] = g
-    G = G.reshape(n * k, n)
-    G.flags.writeable = False
-    return G
-
-
-def floor_mod(a: np.ndarray, q: int) -> np.ndarray:
-    """np.mod(a, q) for an int64 array a, as a - (a // q) * q: numpy
-    vectorises int64 floor division by a scalar but not int64 np.mod, so
-    on a block of thousands of entries this is about twice as fast."""
-    r = a // q
-    r *= q
-    np.subtract(a, r, out=r)
-    return r
+    return G.reshape(n * k, n)
 
 
 def exact_int(v) -> int:
@@ -166,7 +164,8 @@ def mat_to_json(ring: ModRing, m) -> dict:
 @functools.lru_cache(maxsize=16)
 def _residue_text(q: int) -> np.ndarray:
     # "r," in ASCII for every residue r, NUL-padded to 4 or 8 bytes and
-    # viewed as one unsigned integer each, so a gather is a plain copy
+    # viewed as one unsigned integer each, so a gather is a plain copy;
+    # 4 bytes, enough for q <= 1000, halve the bytes gathered and stripped
     width = 4 if q <= 1000 else 8
     return np.array([f"{r},".encode() for r in range(q)], dtype=f"S{width}").view(f"u{width}")
 
@@ -215,6 +214,5 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def canonical_json(obj) -> str:
-    """Stable single-line encoding used for transcripts, key digests and
-    wire messages."""
+    """Stable single-line encoding used for transcripts and wire messages."""
     return _CANONICAL.encode(obj)

@@ -39,16 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import TruncGaussian
-from .modq import (
-    ModRing,
-    exact_int,
-    floor_mod,
-    gadget_matrix,
-    int_mat_from_json,
-    mat_from_json,
-    mat_to_json,
-    residue_grid,
-)
+from .modq import ModRing, exact_int, gadget_matrix, int_mat_from_json, mat_from_json, mat_to_json, residue_grid
 
 # A modulus with at most this many distinct blocks (q^k) keeps a table of
 # block decodes, filled as blocks are met.
@@ -108,7 +99,7 @@ def gen_trap(ring: ModRing, n: int, m: int, rng: np.random.Generator) -> Trapdoo
     # partial sum is an integer of size at most mbar*(q - 1) < 2^53, so the
     # float product is exact
     RA = (R.astype(np.float64) @ Abar.astype(np.float64)).astype(np.int64)
-    A = np.vstack([Abar, floor_mod(gadget_matrix(ring, n) - RA, ring.q)])
+    A = np.vstack([Abar, ring.reduce(gadget_matrix(ring, n) - RA)])
     return TrapdoorKey(ring=ring, A=A, R=R, mbar=mbar)
 
 
@@ -252,7 +243,7 @@ def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
     p = min(_FALLBACK_PREFIX, key.m)
 
     def delta(cand, rows):
-        return floor_mod(key.A.T[owner[cand], rows] * step[cand, None], q)
+        return key.ring.reduce(key.A.T[owner[cand], rows] * step[cand, None])
 
     def tail(cand):
         return delta(cand, slice(p, None))

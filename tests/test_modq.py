@@ -12,7 +12,6 @@ from clawrand.modq import (
     SizeGuardError,
     bit_encode,
     canonical_json,
-    floor_mod,
     gadget_matrix,
     mat_from_json,
     mat_to_json,
@@ -79,19 +78,25 @@ def test_gadget_matrix_examples():
     assert gadget_matrix(ModRing(5), 2).shape == (6, 2)
 
 
-def test_gadget_matrix_is_shared_and_read_only():
-    G = gadget_matrix(ModRing(13), 3)
-    assert gadget_matrix(ModRing(13), 3) is G
-    with pytest.raises(ValueError):
-        G[0, 0] = 5
-    assert G[0, 0] == 1
-
-
 @settings(max_examples=50, deadline=None)
-@given(st.integers(2, MAX_Q), st.lists(st.integers(-(1 << 40), 1 << 40), min_size=0, max_size=40))
-def test_floor_mod_equals_np_mod(q, values):
-    a = np.array(values, dtype=np.int64)
-    assert np.array_equal(floor_mod(a, q), np.mod(a, q))
+@given(
+    q=st.integers(2, MAX_Q),
+    seed=st.integers(0, 2**32 - 1),
+    # sizes on both sides of the switch to floor division
+    size=st.sampled_from([0, 1, 7, 2047, 2048, 4096]),
+)
+def test_reduce_equals_np_mod_at_every_size(q, seed, size):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-(1 << 40), 1 << 40, size)
+    a[::5] = rng.integers(-3, 4, a[::5].size) * q  # multiples of q, zero among them
+    ring = ModRing(q)
+    assert np.array_equal(ring.reduce(a), np.mod(a, q))
+    assert np.array_equal(ring.reduce(a.reshape(-1, 1)), np.mod(a, q).reshape(-1, 1))
+
+
+def test_reduce_keeps_scalars_scalar():
+    assert ModRing(13).reduce(-1) == 12 and np.ndim(ModRing(13).reduce(-1)) == 0
+    assert ModRing(13).reduce(np.int64(27)) == 1
 
 
 @settings(max_examples=60, deadline=None)
