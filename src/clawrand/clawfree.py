@@ -424,12 +424,16 @@ def public_key_to_json(pub: PublicKey) -> dict:
     }
 
 
-def public_key_json_text(pub: PublicKey) -> str:
+def public_key_json_text(pub: PublicKey, profile_text: str | None = None) -> str:
     """canonical_json(public_key_to_json(pub)): the text keygen writes and
-    the key digests hash, with A and u rendered by mat_json_text."""
+    the key digests hash, with A and u rendered by mat_json_text.  A caller
+    making many keys of one profile passes profile_text, which must be
+    canonical_json(pub.profile.as_dict()), rendered once."""
     ring = pub.ring
+    if profile_text is None:
+        profile_text = canonical_json(pub.profile.as_dict())
     return (
-        f'{{"A":{mat_json_text(ring, pub.A)},"profile":{canonical_json(pub.profile.as_dict())},'
+        f'{{"A":{mat_json_text(ring, pub.A)},"profile":{profile_text},'
         f'"u":{mat_json_text(ring, np.atleast_1d(pub.u)[:, None])}}}'
     )
 

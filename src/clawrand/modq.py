@@ -10,15 +10,16 @@ centered representative of x, the unique integer in (-q/2, q/2]
 congruent to x, is taken only at norm/decoding boundaries.  All
 operations are pure; values are never mutated in place.
 
-An integer array becomes JSON only through ``.tolist()``, which yields
-builtin ints, in the JSON writers (``mat_to_json``, the key and trapdoor
-writers, round records and wire frames); ``canonical_json`` is the one
-encoder of transcripts and wire frames.  A public key's text, which
-``keygen --public-out`` writes and the key digests hash, is the one
-exception: ``mat_json_text`` renders a matrix's canonical text from a
-per-modulus table of encoded residues instead of formatting each through
-``json``.  It is the exact string ``canonical_json(mat_to_json(...))``,
-and ``tests/test_json_writers.py`` pins the two together.
+An integer array becomes a JSON value through ``.tolist()``, which
+yields builtin ints, in the dict writers (``mat_to_json``, the key and
+trapdoor writers, ``RoundRecord.as_dict`` and wire frames), and
+``canonical_json`` encodes those dicts.  Two texts are instead rendered
+from a per-modulus table of encoded residues (``residues_text``), since
+formatting each residue through ``json`` is their largest cost: a public
+key's text (``mat_json_text``), which ``keygen --public-out`` writes and
+the key digests hash, and a protocol-1 record's line in a transcript.
+Each is the exact string ``canonical_json`` gives for its dict, and
+``tests/test_json_writers.py`` pins the two together.
 """
 
 from __future__ import annotations
@@ -170,16 +171,23 @@ def _residue_text(q: int) -> np.ndarray:
     return np.array([f"{r},".encode() for r in range(q)], dtype=f"S{width}").view(f"u{width}")
 
 
+def residues_text(ring: ModRing, v) -> str:
+    """The comma-joined decimal texts of residues v, flattened in C order,
+    each gathered from a per-modulus table: the inside of a JSON array of
+    v's entries.  Refuses (ValueError) an entry outside [0, q) rather than
+    letting a negative index wrap."""
+    v = exact_int64(v)
+    if v.size and (v.min() < 0 or v.max() >= ring.q):
+        raise ValueError("entries outside [0, q)")
+    return _residue_text(ring.q)[v.reshape(-1)].tobytes().translate(None, b"\0")[:-1].decode()
+
+
 def mat_json_text(ring: ModRing, m) -> str:
-    """canonical_json(mat_to_json(ring, m)) for residues m, each entry's
-    text gathered from a per-modulus table.  Refuses (ValueError) an entry
-    outside [0, q) rather than letting a negative index wrap."""
+    """canonical_json(mat_to_json(ring, m)) for residues m, rendered by
+    residues_text."""
     m = np.atleast_2d(m)
     rows, cols = m.shape
-    if m.size and (m.min() < 0 or m.max() >= ring.q):
-        raise ValueError("matrix entries outside [0, q)")
-    data = _residue_text(ring.q)[m.reshape(-1)].tobytes().translate(None, b"\0")[:-1].decode()
-    return f'{{"cols":{cols},"data":[{data}],"q":{ring.q},"rows":{rows}}}'
+    return f'{{"cols":{cols},"data":[{residues_text(ring, m)}],"q":{ring.q},"rows":{rows}}}'
 
 
 def vec_to_json(ring: ModRing, v) -> dict:

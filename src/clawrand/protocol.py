@@ -53,19 +53,24 @@ from .clawfree import (
 )
 from .devices import SimplifiedDevice, honest_qubit_device
 from .extract import bits_to_hex, empirical_min_entropy
-from .modq import canonical_json, exact_int, exact_int64
+from .modq import ModRing, canonical_json, exact_int, exact_int64, residues_text
 from .profiles import ParameterProfile
 from .trapdoor import DecodeFailure
 
 
 @dataclass
 class RoundRecord:
+    """One round as the verifier saw it.  The image y and an answer's
+    vector ("x" of a preimage, "d" of an equation) are the int64 arrays the
+    engine validated, each the record's own copy; as_dict gives them as
+    lists, and json_line renders them from the residue table."""
+
     index: int
     round_type: str  # "test" | "gen"
     challenge: int
     t: int | None
     key_epoch: int
-    y: list | None
+    y: np.ndarray | None
     answer: dict
     w: int
     o: int  # test rounds: W; generation rounds: the recorded bit, or 2 if invalid
@@ -77,11 +82,30 @@ class RoundRecord:
             "c": self.challenge,
             "t": self.t,
             "epoch": self.key_epoch,
-            "y": self.y,
-            "answer": self.answer,
+            "y": None if self.y is None else self.y.tolist(),
+            "answer": {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in self.answer.items()},
             "w": self.w,
             "o": self.o,
         }
+
+    def json_line(self, ring: ModRing | None) -> str:
+        """canonical_json(self.as_dict()).  A record holding an image and an
+        answer vector is rendered with sorted keys around the residue texts
+        of both; any other (a malformed sample or answer, every protocol-2
+        round) goes through canonical_json, which escapes a message."""
+        ans = self.answer
+        if self.y is None or ("x" not in ans and "d" not in ans):
+            return canonical_json(self.as_dict())
+        if "x" in ans:
+            answer = f'{{"b":{ans["b"]},"x":[{residues_text(ring, ans["x"])}]}}'
+        else:
+            answer = f'{{"d":[{residues_text(ring, ans["d"])}],"u":{ans["u"]}}}'
+        t = "null" if self.t is None else self.t
+        return (
+            f'{{"answer":{answer},"c":{self.challenge},"epoch":{self.key_epoch},"i":{self.index},'
+            f'"o":{self.o},"t":{t},"type":"{self.round_type}","w":{self.w},'
+            f'"y":[{residues_text(ring, self.y)}]}}'
+        )
 
 
 @dataclass
@@ -138,7 +162,9 @@ class Transcript:
             "epochs": self.epochs,
         }
         lines = [canonical_json(head)]
-        lines += [canonical_json(r.as_dict()) for r in self.records]
+        # only protocol 1 records residue vectors, and only its profiles run
+        ring = ModRing(self.profile["q"]) if self.mode == "protocol1" else None
+        lines += [r.json_line(ring) for r in self.records]
         final = {**self._verdict(), "output_hex": bits_to_hex(np.array(self.output_bits, dtype=np.int64))}
         lines.append(canonical_json({"final": final}))
         return "\n".join(lines) + "\n"
@@ -180,8 +206,8 @@ class _Budget:
         }
 
 
-def _key_digest(key: KeyPair) -> str:
-    return hashlib.sha256(public_key_json_text(key.public).encode()).hexdigest()[:16]
+def _key_digest(key: KeyPair, profile_text: str | None = None) -> str:
+    return hashlib.sha256(public_key_json_text(key.public, profile_text).encode()).hexdigest()[:16]
 
 
 def _give_key(prover, key: KeyPair):
@@ -204,7 +230,9 @@ def _request_sample(key: KeyPair, prover):
     claw = (x0, x1), or None when y does not invert."""
     sample = _ask(prover.next_sample)
     try:
-        y = exact_int64(sample)
+        # copied: exact_int64 hands back an int64 array itself, and the
+        # round and its record must not see the prover change it later
+        y = exact_int64(sample).copy()
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedAnswer("sample entries not integers") from exc
     if y.shape != (key.profile.m,):
@@ -248,10 +276,10 @@ def _validated_answer(key: KeyPair, prover, c: int):
 
 
 def _converted(a, b, kind: str):
-    """(a as an int, b as an int64 array); a value that does not convert
-    exactly is out of the answer's domain."""
+    """(a as an int, b as an int64 array of its own, as the sample is); a
+    value that does not convert exactly is out of the answer's domain."""
     try:
-        return exact_int(a), exact_int64(b)
+        return exact_int(a), exact_int64(b).copy()
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedAnswer(f"{kind} answer out of domain") from exc
 
@@ -277,9 +305,9 @@ def _play_round(key: KeyPair, prover, rng: np.random.Generator, c: int):
     if c == 1:
         bbit, x = answer
         w = chk(key.public, bbit, x, y) if claw is not None else 0
-        return y, {"b": bbit, "x": x.tolist()}, w, False
+        return y, {"b": bbit, "x": x}, w, False
     u, d = answer
-    record = {"u": u, "d": d.tolist()}
+    record = {"u": u, "d": d}
     if claw is None:
         return y, record, 0, False
     x0, x1 = claw
@@ -298,11 +326,12 @@ def run_protocol1(
     N = profile.N if n_rounds is None else n_rounds
     budget = _Budget(profile)
     tr = Transcript(mode="protocol1", profile=profile.as_dict(), n_rounds=N)
+    profile_text = canonical_json(tr.profile)  # every key's, rendered once
 
     def issue_key() -> KeyPair:
         key = gen(profile, rng)
         budget.key()
-        tr.epochs.append(_key_digest(key))
+        tr.epochs.append(_key_digest(key, profile_text))
         _give_key(prover, key)
         return key
 
@@ -326,7 +355,7 @@ def run_protocol1(
                 challenge=c,
                 t=None,
                 key_epoch=len(tr.epochs) - 1,
-                y=None if y is None else y.tolist(),
+                y=y,
                 answer=answer_rec,
                 w=w,
                 o=o,

@@ -1,7 +1,8 @@
 """The JSON writers hand the encoder builtin ints only, and their text is
 the text of the per-element conversion they replaced.  The table-rendered
-key text (mat_json_text, public_key_json_text) is the canonical_json text
-of the dict writers, byte for byte."""
+texts (mat_json_text, public_key_json_text and a transcript's record
+lines) are the canonical_json text of the dict writers, byte for byte, and
+a record keeps its own copy of the prover's arrays."""
 
 import hashlib
 import json
@@ -11,9 +12,16 @@ import pytest
 
 from clawrand import cli, wire
 from clawrand.clawfree import gen, keypair_to_json, public_key_json_text, public_key_to_json
-from clawrand.modq import ModRing, canonical_json, mat_json_text, mat_to_json, vec_to_json
+from clawrand.modq import ModRing, canonical_json, mat_json_text, mat_to_json, residues_text, vec_to_json
 from clawrand.profiles import get_profile
-from clawrand.protocol import _key_digest, prover_catalog, run_protocol1
+from clawrand.protocol import (
+    RoundRecord,
+    _key_digest,
+    prover_catalog,
+    run_protocol1,
+    run_protocol2,
+    simplified_provers,
+)
 from clawrand.rngstream import substream
 from clawrand.trapdoor import trapdoor_to_json
 
@@ -157,6 +165,22 @@ def test_mat_json_text_refuses_entries_outside_the_ring(bad):
         mat_json_text(ModRing(13), m)
 
 
+@pytest.mark.parametrize("bad", [-1, 13, 1 << 40, -(1 << 40)])
+def test_residue_texts_refuse_entries_outside_the_ring(bad):
+    # -1 would otherwise index the table's last entry and render as "12"
+    ring = ModRing(13)
+    v = np.array([0, 5, 12, bad], dtype=np.int64)
+    with pytest.raises(ValueError, match="outside"):
+        residues_text(ring, v)
+    for rec in (
+        RoundRecord(0, "gen", 1, None, 0, v, {"b": 0, "x": np.zeros(2, dtype=np.int64)}, 1, 0),
+        RoundRecord(0, "test", 1, None, 0, np.zeros(4, dtype=np.int64), {"b": 0, "x": v}, 1, 1),
+        RoundRecord(0, "test", 0, None, 0, np.zeros(4, dtype=np.int64), {"u": 0, "d": v}, 1, 1),
+    ):
+        with pytest.raises(ValueError, match="outside"):
+            rec.json_line(ring)
+
+
 @pytest.mark.parametrize("name", ["micro", "desk-protocol"])
 def test_key_digest_hashes_the_keygen_public_file(name, tmp_path, capsys):
     path = tmp_path / "pub.json"
@@ -204,3 +228,130 @@ def test_wire_frames_take_lists_and_arrays():
     for v, want in ((np.int64(1), 1), (1, 1), (None, None), (0.5, 0.5), (np.array([0.5, 2.0]), [0.5, 2.0])):
         out = wire._plain(v)
         assert out == want and type(out) is type(want)
+
+
+def _assert_record_lines_canonical(tr, ring) -> set:
+    """Every record line of tr, alone and in to_jsonl, is the canonical
+    text of its dict.  Returns the (type, answer keys) shapes seen."""
+    lines = tr.to_jsonl().splitlines()[1:-1]
+    assert len(lines) == len(tr.records)
+    shapes = set()
+    for rec, line in zip(tr.records, lines):
+        assert rec.json_line(ring) == line == canonical_json(rec.as_dict())
+        shapes.add((rec.round_type, tuple(sorted(rec.answer))))
+    return shapes
+
+
+def test_record_lines_of_valid_rounds_are_the_canonical_text():
+    prof = get_profile("desk-protocol", p_test=0.5)
+    prover = prover_catalog()["ideal"](substream(9, "prover", "ideal"))
+    tr = run_protocol1(prof, prover, substream(9, "verifier", "protocol1"), n_rounds=60)
+    assert all(isinstance(r.y, np.ndarray) for r in tr.records)
+    shapes = _assert_record_lines_canonical(tr, ModRing(prof.q))
+    assert shapes == {("gen", ("b", "x")), ("test", ("b", "x")), ("test", ("d", "u"))}
+
+
+class _Malformed:
+    """A protocol-1 prover that sends a sample of the wrong shape in even
+    rounds and raises, with a message JSON must escape, in odd ones."""
+
+    message = 'a "quoted" \\ back\\slash, ünïcödé and \u2603\n'
+
+    def __init__(self, prof):
+        self.prof = prof
+        self.rounds = 0
+
+    def new_key(self, pub):
+        pass
+
+    def next_sample(self):
+        self.rounds += 1
+        return np.zeros(self.prof.m + self.rounds % 2, dtype=np.int64)
+
+    def answer(self, c, t=None):
+        raise ValueError(self.message)
+
+
+def test_record_lines_of_malformed_rounds_are_the_canonical_text():
+    prof = get_profile("micro", p_test=0.5)
+    tr = run_protocol1(prof, _Malformed(prof), substream(10, "verifier", "protocol1"), n_rounds=20)
+    assert any(r.y is None for r in tr.records)
+    assert any(r.y is not None and _Malformed.message in r.answer["malformed"] for r in tr.records)
+    shapes = _assert_record_lines_canonical(tr, ModRing(prof.q))
+    assert {answer for _, answer in shapes} == {("malformed",)}
+
+
+def test_protocol2_record_lines_are_the_canonical_text():
+    prof = get_profile("micro", N=200, p_test=0.5)
+    prover = simplified_provers()["device-honest"](substream(11, "prover"))
+    tr = run_protocol2(prof, prover, substream(11, "verifier"))
+    shapes = _assert_record_lines_canonical(tr, None)
+    assert {answer for _, answer in shapes} == {("e", "k"), ("v",)}
+    ks = {r.answer["k"] for r in tr.records if "k" in r.answer}
+    assert None in ks and ks - {None}
+
+
+def test_hand_built_record_lines_at_an_eight_byte_table_width():
+    # q > 1000 takes the table's 8-byte entries; every residue appears
+    ring = ModRing(4093)
+    every = np.arange(ring.q, dtype=np.int64)
+    for t, answer in ((None, {"b": 1, "x": every[::-1].copy()}), (3, {"u": 0, "d": every % 2})):
+        rec = RoundRecord(7, "test", 1 if "x" in answer else 0, t, 2, every, answer, 1, 1)
+        assert rec.json_line(ring) == canonical_json(rec.as_dict())
+        assert rec.as_dict()["y"] == list(range(ring.q))
+
+
+class _Scribbling:
+    """Hands the verifier arrays of its own and overwrites the previous
+    round's sample and answer in place on its next call, keeping what they
+    held when they were handed over."""
+
+    def __init__(self, inner, scribble: bool):
+        self.inner = inner
+        self.wants_trapdoor = inner.wants_trapdoor
+        self.scribble = scribble
+        self.handed = []
+        self.snapshots = []
+
+    def _hand(self, v):
+        arr = np.array(v, dtype=np.int64)
+        self.handed.append(arr)
+        self.snapshots.append(arr.tolist())
+        return arr
+
+    def _overwrite(self):
+        if self.scribble:
+            for arr in self.handed:
+                arr[:] = 1 - (arr % 2)  # in domain for y, x and d alike
+        self.handed = []
+
+    def new_key(self, key):
+        self._overwrite()
+        self.inner.new_key(key)
+
+    def next_sample(self):
+        self._overwrite()
+        return self._hand(self.inner.next_sample())
+
+    def answer(self, c, t=None):
+        kind, a, b = self.inner.answer(c)
+        return kind, a, self._hand(b)
+
+
+def test_records_hold_a_snapshot_of_the_provers_arrays():
+    prof = get_profile("desk-protocol", p_test=0.5)
+
+    def run(scribble):
+        prover = _Scribbling(prover_catalog()["ideal"](substream(12, "prover", "ideal")), scribble)
+        return prover, run_protocol1(prof, prover, substream(12, "verifier", "protocol1"), n_rounds=40)
+
+    prover, tr = run(True)
+    _, plain = run(False)
+    assert tr.to_jsonl() == plain.to_jsonl()
+    # the snapshots alternate sample, answer vector, one pair a round
+    assert len(prover.snapshots) == 2 * len(tr.records)
+    for rec, y, vec in zip(tr.records, prover.snapshots[::2], prover.snapshots[1::2]):
+        want = rec.as_dict()
+        want["y"] = y
+        want["answer"]["x" if "x" in rec.answer else "d"] = vec
+        assert rec.json_line(ModRing(prof.q)) == canonical_json(want)
