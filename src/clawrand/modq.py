@@ -176,10 +176,16 @@ def residues_text(ring: ModRing, v) -> str:
     each gathered from a per-modulus table: the inside of a JSON array of
     v's entries.  Refuses (ValueError) an entry outside [0, q) rather than
     letting a negative index wrap."""
-    v = exact_int64(v)
-    if v.size and (v.min() < 0 or v.max() >= ring.q):
+    v = exact_int64(v).reshape(-1)
+    # a negative entry would wrap, so it is refused here; one at or above q
+    # fails the gather's own bounds check, which saves a second reduction
+    if v.size and v.min() < 0:
         raise ValueError("entries outside [0, q)")
-    return _residue_text(ring.q)[v.reshape(-1)].tobytes().translate(None, b"\0")[:-1].decode()
+    try:
+        texts = _residue_text(ring.q)[v]
+    except IndexError:
+        raise ValueError("entries outside [0, q)") from None
+    return texts.tobytes().translate(None, b"\0")[:-1].decode()
 
 
 def mat_json_text(ring: ModRing, m) -> str:
