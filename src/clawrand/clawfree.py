@@ -31,7 +31,6 @@ from .modq import (
     ModRing,
     SizeGuardError,
     bit_encode,
-    canonical_json,
     exact_int64,
     mat_from_json,
     mat_json_text,
@@ -180,8 +179,8 @@ def chk(pub: PublicKey, b: int, x, y) -> int:
     if b not in (0, 1):
         raise ValueError("branch bit must be 0 or 1")
     ring = pub.ring
-    resid = ring.centered(np.asarray(y) - ring.matmul(pub.A, x) - b * np.asarray(pub.u))
-    return int(math.sqrt(float((resid.astype(float) ** 2).sum())) <= pub.profile.B_P * math.sqrt(pub.profile.m))
+    resid = np.asarray(y) - ring.matmul(pub.A, x) - b * np.asarray(pub.u)
+    return int(ring.norm(resid) <= pub.profile.B_P * math.sqrt(pub.profile.m))
 
 
 def inv(key: KeyPair, b: int, y) -> np.ndarray:
@@ -424,16 +423,13 @@ def public_key_to_json(pub: PublicKey) -> dict:
     }
 
 
-def public_key_json_text(pub: PublicKey, profile_text: str | None = None) -> str:
+def public_key_json_text(pub: PublicKey) -> str:
     """canonical_json(public_key_to_json(pub)): the text keygen writes and
-    the key digests hash, with A and u rendered by mat_json_text.  A caller
-    making many keys of one profile passes profile_text, which must be
-    canonical_json(pub.profile.as_dict()), rendered once."""
+    the key digests hash, with A and u rendered by mat_json_text and the
+    profile's text rendered once per profile (ParameterProfile.json_text)."""
     ring = pub.ring
-    if profile_text is None:
-        profile_text = canonical_json(pub.profile.as_dict())
     return (
-        f'{{"A":{mat_json_text(ring, pub.A)},"profile":{profile_text},'
+        f'{{"A":{mat_json_text(ring, pub.A)},"profile":{pub.profile.json_text},'
         f'"u":{mat_json_text(ring, np.atleast_1d(pub.u)[:, None])}}}'
     )
 

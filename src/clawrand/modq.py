@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +73,10 @@ class ModRing:
         return np.abs(self.centered(a))
 
     def norm(self, v) -> float:
-        """Euclidean norm of the centered representatives."""
+        """Euclidean norm of the centered representatives of a vector v;
+        exact, since every partial sum of squares is an integer < 2^53."""
         c = self.centered(v).astype(float)
-        return float(np.sqrt(np.sum(c * c)))
+        return math.sqrt(c @ c)
 
     def uniform(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)

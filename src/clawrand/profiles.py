@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .gaussians import TruncGaussian
-from .modq import MAX_Q, ModRing, coord_bits
+from .modq import MAX_Q, ModRing, canonical_json, coord_bits
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,17 @@ class ParameterProfile:
 
     def as_dict(self) -> dict:
         # every field, plus the two derived values the JSON form reports;
-        # this runs once per key, where dataclasses.asdict's deep copy costs ~5x
-        return {**vars(self), "w": self.w, "violated_conditions": self.violated()}
+        # taken by field name, since vars() would also hold json_text
+        values = {name: getattr(self, name) for name in _FIELD_NAMES}
+        return {**values, "w": self.w, "violated_conditions": self.violated()}
+
+    @functools.cached_property
+    def json_text(self) -> str:
+        """canonical_json(self.as_dict()), rendered once per profile."""
+        return canonical_json(self.as_dict())
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(ParameterProfile))
 
 
 @functools.cache

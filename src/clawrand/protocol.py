@@ -206,8 +206,8 @@ class _Budget:
         }
 
 
-def _key_digest(key: KeyPair, profile_text: str | None = None) -> str:
-    return hashlib.sha256(public_key_json_text(key.public, profile_text).encode()).hexdigest()[:16]
+def _key_digest(key: KeyPair) -> str:
+    return hashlib.sha256(public_key_json_text(key.public).encode()).hexdigest()[:16]
 
 
 def _give_key(prover, key: KeyPair):
@@ -326,12 +326,11 @@ def run_protocol1(
     N = profile.N if n_rounds is None else n_rounds
     budget = _Budget(profile)
     tr = Transcript(mode="protocol1", profile=profile.as_dict(), n_rounds=N)
-    profile_text = canonical_json(tr.profile)  # every key's, rendered once
 
     def issue_key() -> KeyPair:
         key = gen(profile, rng)
         budget.key()
-        tr.epochs.append(_key_digest(key, profile_text))
+        tr.epochs.append(_key_digest(key))
         _give_key(prover, key)
         return key
 

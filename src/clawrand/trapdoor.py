@@ -325,8 +325,8 @@ def measure_decode_radius(
     for width in widths:
         noise = TruncGaussian(ring, float(width))
         for _ in range(max(1, trials // len(widths))):
-            e = ring.centered(noise.sample_vec(rng, key.m))
-            nrm = math.sqrt(float((e * e).sum()))
+            e = noise.sample_vec(rng, key.m)
+            nrm = ring.norm(e)
             s = ring.uniform(rng, key.n)
             y = ring.reduce(ring.matmul(key.A, s) + e)
             try:

@@ -92,8 +92,10 @@ class LineChannel:
 
 
 class RemoteProver:
-    """Server-side adapter presenting a connected client as a Protocol 1
-    prover.  Frame values are passed on unconverted, so the verifier
+    """Server-side adapter presenting a connected client as a prover of
+    either protocol: answer(c, t) for Protocol 1, round2(c, t) for the
+    simplified protocol.  Both send one challenge frame and receive one
+    answer frame.  Frame values are passed on unconverted, so the verifier
     checks a remote answer exactly as it checks a local one."""
 
     wants_trapdoor = False
@@ -110,29 +112,23 @@ class RemoteProver:
         return self.chan.recv("sample")["y"]
 
     def answer(self, c: int, t=None):
-        self.chan.send({"type": "challenge", "c": c, "t": t})
-        msg = self.chan.recv("answer_eq", "answer_pre")
+        msg = self._challenge(c, t)
         if msg["type"] == "answer_eq":
             return ("eq", msg["u"], msg["d"])
         return ("pre", msg["b"], msg["x"])
 
-    def end_round(self, index: int, refresh: bool):
-        self.chan.send({"type": "decision", "round": index, "refresh": refresh})
-
-
-class RemoteProver2:
-    """Server-side adapter for the simplified protocol; frame values are
-    passed on unconverted."""
-
-    def __init__(self, chan: LineChannel):
-        self.chan = chan
-
     def round2(self, c: int, t: int):
-        self.chan.send({"type": "challenge", "c": c, "t": t})
-        msg = self.chan.recv("answer_eq", "answer_pre")
+        msg = self._challenge(c, t)
         if msg["type"] == "answer_eq":
             return (msg["e"], msg.get("k"))
         return msg["v"]
+
+    def _challenge(self, c: int, t) -> dict:
+        self.chan.send({"type": "challenge", "c": c, "t": t})
+        return self.chan.recv("answer_eq", "answer_pre")
+
+    def end_round(self, index: int, refresh: bool):
+        self.chan.send({"type": "decision", "round": index, "refresh": refresh})
 
 
 def serve_session(
@@ -157,13 +153,10 @@ def serve_session(
             "rounds": n_rounds if n_rounds is not None else profile.N,
         }
     )
-    rng = substream(seed, "verifier", mode)
-    if mode == "protocol1":
-        tr = run_protocol1(profile, RemoteProver(chan), rng, n_rounds=n_rounds)
-    elif mode == "protocol2":
-        tr = run_protocol2(profile, RemoteProver2(chan), rng, n_rounds=n_rounds)
-    else:
+    run = {"protocol1": run_protocol1, "protocol2": run_protocol2}.get(mode)
+    if run is None:
         raise WireError(f"mode {mode!r} is not servable")
+    tr = run(profile, RemoteProver(chan), substream(seed, "verifier", mode), n_rounds=n_rounds)
     chan.send(
         {
             "type": "final",

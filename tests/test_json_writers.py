@@ -4,6 +4,7 @@ texts (mat_json_text, public_key_json_text and a transcript's record
 lines) are the canonical_json text of the dict writers, byte for byte, and
 a record keeps its own copy of the prover's arrays."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -190,6 +191,24 @@ def test_key_digest_hashes_the_keygen_public_file(name, tmp_path, capsys):
     assert text.endswith("\n") and text.count("\n") == 1
     key = gen(get_profile(name), substream(11, "keygen"))
     assert _key_digest(key) == hashlib.sha256(text[:-1].encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", ["micro", "desk-small", "desk-protocol", "full-scale"])
+def test_profile_text_never_leaks(name):
+    # the cached text must stay out of as_dict, and so out of the profiles
+    # listing, transcripts and key files
+    prof = get_profile(name)
+    text = prof.json_text
+    assert "json_text" in vars(prof)  # cached on the instance from here on
+    d = prof.as_dict()
+    assert set(d) == {f.name for f in dataclasses.fields(prof)} | {"w", "violated_conditions"}
+    assert text == canonical_json(d) == _reference_json(d)
+    assert "json_text" not in text
+    # an overridden profile is a new object with its own text
+    tweaked = get_profile(name, p_test=0.5)
+    assert tweaked.json_text == canonical_json(tweaked.as_dict()) != text
+    assert tweaked.as_dict()["p_test"] == 0.5
+    assert prof.json_text is text
 
 
 @pytest.mark.parametrize("name,prover_kind", [

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -44,10 +45,17 @@ def test_norm_examples():
 
 
 def test_norm_is_sum_of_centered_abs_squares():
-    ring = ModRing(13)
+    # exactly math.sqrt of the integer sum of squares: the support checks
+    # compare it with their bounds, so no rounding may move a verdict
     rng = np.random.default_rng(0)
-    v = ring.uniform(rng, 20)
-    assert ring.norm(v) == pytest.approx(np.sqrt((ring.abs(v).astype(float) ** 2).sum()))
+    for q in (3, 13, 61, 4096):
+        ring = ModRing(q)
+        assert ring.norm([]) == 0.0
+        for m in (1, 2, 20, 56, 160):
+            for _ in range(20):
+                v = ring.uniform(rng, m)
+                exact = math.sqrt(sum(int(a) ** 2 for a in ring.centered(v)))
+                assert ring.norm(v) == exact
 
 
 def test_bit_encode_examples():
