@@ -63,6 +63,29 @@ class FlakyProver(CommittedPreimageProver):
         return ("pre",) if self.answers % 4 == 0 else super().answer(c, t)
 
 
+class FlakyReporter:
+    """Protocol-2 prover whose reports cycle through five kinds: it
+    raises, returns a non-tuple on challenge 0, returns a fraction,
+    returns label 3 on challenge 1, and otherwise gives the constant
+    prover's valid report.  Drives protocol 2's malformed paths."""
+
+    def __init__(self, rng=None):
+        self.calls = 0
+
+    def round2(self, c, t):
+        self.calls += 1
+        kind = self.calls % 5
+        if kind == 1:
+            raise RuntimeError("device lost")
+        if kind == 2 and c == 0:
+            return 1
+        if kind == 3:
+            return (0.5, 0) if c == 0 else 0.5
+        if kind == 4 and c == 1:
+            return 3
+        return ConstantSimplifiedProver().round2(c, t)
+
+
 PROTOCOL1 = {
     ("micro", "ideal", 200):
         "da14e04d353c146eb076d9195294f4dd12d43d52e6744ba767048c2b2d6719fc",
@@ -93,6 +116,7 @@ PROTOCOL1 = {
 PROTOCOL2 = {
     "device-honest": "637f8e81f7589bdcda0e278a1cd6a77e94b6284a742cbb645c62cf933b162983",
     "device-constant": "46f8213ce9a51e9344c1c8933b26bc528f53b45d15932f485506fe5c42ba2de2",
+    "flaky-reporter": "9f0cca4c06977b5a548d24693fcee0fd8a47b5686183b34f093691868f348ffa",
 }
 
 SINGLE_ROUND = {
@@ -137,12 +161,20 @@ def protocol1_digest(profile: str, kind: str, rounds: int) -> str:
 
 
 def protocol2_digest(kind: str) -> str:
+    """Digest of a protocol-2 run with every malformed record's text
+    masked, so that the digest pins how each round is graded and not the
+    wording of the verifier's message."""
     prof = get_profile("micro", N=200, p_test=0.3)
     if kind == "device-honest":
         prover = BornDeviceProver(honest_qubit_device(), substream(SEED, "prover", kind))
+    elif kind == "flaky-reporter":
+        prover = FlakyReporter()
     else:
         prover = ConstantSimplifiedProver()
     tr = run_protocol2(prof, prover, substream(SEED, "verifier", "protocol2"))
+    for r in tr.records:
+        if "malformed" in r.answer:
+            r.answer = {"malformed": "*"}
     return _transcript_digest(tr)
 
 
