@@ -18,10 +18,14 @@ own pass bit e (plus a subspace bit k when probed with T = 1) on
 challenge 0 and a label v in {0,1,2} on challenge 1.  Only T = 1 test
 rounds are scored, against (1 - gamma/kappa - eta) * kappa * p_test * N.
 
-Both protocols accept by one rule, _accepts: the scored rounds pass at least
-threshold times, and a run with none is rejected.  A malformed reply, or a
-raise other than SessionAbort (which aborts the run), fails its round.  The
-output bits are the passed generation rounds.
+Both protocols ask their prover through one guard, _ask: a raise other
+than SessionAbort (which aborts the run) is a malformed reply, and so is a
+reply outside its domain; either fails its round.  A round of either
+protocol ends in one RoundOutcome (the exit the rule took, the image and
+answer recorded, and W), from which _record builds its record by one
+rule.  Both accept by one rule, _accepts: the scored rounds pass at least
+threshold times, and a run with none is rejected.  The output bits are the
+passed generation rounds.
 
 Prover adapters are duck-typed: new_key(key), next_sample() and
 answer(c, t) for Protocol 1; round2(c, t) for Protocol 2.  Adapters with
@@ -36,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -254,7 +259,9 @@ class MalformedAnswer(Exception):
     pass
 
 
-def _validated_answer(key: KeyPair, prover, c: int):
+def _validated_answer(key: KeyPair, prover, c: int) -> dict:
+    """The answer to challenge c as its record: {"u", "d"} for an equation,
+    {"b", "x"} for a preimage."""
     ans = _ask(prover.answer, c)
     prof = key.profile
     if not isinstance(ans, tuple) or len(ans) != 3:
@@ -266,13 +273,13 @@ def _validated_answer(key: KeyPair, prover, c: int):
         u, d = _converted(a, b, "equation")
         if u not in (0, 1) or d.shape != (prof.w,) or np.any((d != 0) & (d != 1)):
             raise MalformedAnswer("equation answer out of domain")
-        return u, d
+        return {"u": u, "d": d}
     if kind != "pre":
         raise MalformedAnswer(f"expected preimage answer, got {kind!r}")
     bbit, x = _converted(a, b, "preimage")
     if bbit not in (0, 1) or x.shape != (prof.n,) or np.any((x < 0) | (x >= prof.q)):
         raise MalformedAnswer("preimage answer out of domain")
-    return bbit, x
+    return {"b": bbit, "x": x}
 
 
 def _converted(a, b, kind: str):
@@ -284,37 +291,82 @@ def _converted(a, b, kind: str):
         raise MalformedAnswer(f"{kind} answer out of domain") from exc
 
 
-def _play_round(key: KeyPair, prover, rng: np.random.Generator, c: int):
-    """One round of the verifier's rule once the challenge c is drawn (c
-    stays on the verifier until the image is in).  Returns (y, answer
-    record, W, whether the grading coin was drawn).
+class RoundOutcome(NamedTuple):
+    """How the verifier's rule ended a round: the exit it took, the image
+    and answer it records, and the grade W.  The exits are
+    malformed_sample, malformed_answer, inv_fail, chk, parity and coin for
+    protocol 1, and report and malformed_answer for protocol 2."""
+
+    exit: str
+    y: np.ndarray | None
+    answer: dict
+    w: int
+
+
+def _play_round(key: KeyPair, prover, rng: np.random.Generator, c: int) -> RoundOutcome:
+    """One round of protocol 1's rule once the challenge c is drawn (c
+    stays on the verifier until the image is in).
 
     The prover commits one image per round.  A malformed sample scores 0
-    before any answer is asked for; an image that does not invert scores 0
-    whatever the answer.  A preimage answer is credited by the public
-    support check; an equation answer by the claw parity when d is in both
-    good sets, and by a fair coin when it is not."""
+    before any answer is asked for (malformed_sample); a malformed answer
+    scores 0 (malformed_answer), and so does any answer to an image that
+    does not invert (inv_fail).  A preimage answer is credited by the
+    public support check (chk); an equation answer by the claw parity when
+    d is in both good sets (parity), and by a fair coin when it is not
+    (coin)."""
     try:
         y, claw = _request_sample(key, prover)
     except MalformedAnswer as exc:
-        return None, {"malformed": str(exc)}, 0, False
+        return RoundOutcome("malformed_sample", None, {"malformed": str(exc)}, 0)
     try:
         answer = _validated_answer(key, prover, c)
     except MalformedAnswer as exc:
-        return y, {"malformed": str(exc)}, 0, False
-    if c == 1:
-        bbit, x = answer
-        w = chk(key.public, bbit, x, y) if claw is not None else 0
-        return y, {"b": bbit, "x": x}, w, False
-    u, d = answer
-    record = {"u": u, "d": d}
+        return RoundOutcome("malformed_answer", y, {"malformed": str(exc)}, 0)
     if claw is None:
-        return y, record, 0, False
+        return RoundOutcome("inv_fail", y, answer, 0)
+    if c == 1:
+        return RoundOutcome("chk", y, answer, chk(key.public, answer["b"], answer["x"], y))
     x0, x1 = claw
     ring = key.ring
+    d = answer["d"]
     if in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d):
-        return y, record, int(u == claw_equation_bit(ring, x0, x1, d)), False
-    return y, record, int(rng.integers(0, 2)), True
+        return RoundOutcome("parity", y, answer, int(answer["u"] == claw_equation_bit(ring, x0, x1, d)))
+    return RoundOutcome("coin", y, answer, int(rng.integers(0, 2)))
+
+
+def _play_round2(prover, c: int, t: int) -> RoundOutcome:
+    """One round of protocol 2's rule.  The report to challenge 0 is a pair
+    (e, k) of bits, k None allowed when unprobed (t = 0); it passes when
+    e = 1 and, if probed, k = 0.  The report to challenge 1 is a label v in
+    {0, 1, 2}; it passes when v is 0 or 1.  A malformed report scores 0."""
+    try:
+        ans = _ask(prover.round2, c, t)
+        if c == 1:
+            v = exact_int(ans)
+            if v not in (0, 1, 2):
+                raise MalformedAnswer("bad preimage label")
+            return RoundOutcome("report", None, {"v": v}, int(v != 2))
+        if not isinstance(ans, tuple) or len(ans) != 2:
+            raise MalformedAnswer(f"bad equation report arity: {ans!r}")
+        e, k = exact_int(ans[0]), None if ans[1] is None else exact_int(ans[1])
+        if e not in (0, 1) or k not in ((0, 1) if t else (None, 0, 1)):
+            raise MalformedAnswer("bad simplified equation report")
+    except MalformedAnswer as exc:
+        return RoundOutcome("malformed_answer", None, {"malformed": str(exc)}, 0)
+    except (TypeError, ValueError, OverflowError) as exc:  # exact_int refused a value
+        return RoundOutcome("malformed_answer", None, {"malformed": f"report out of domain: {exc}"}, 0)
+    return RoundOutcome("report", None, {"e": e, "k": k}, e if t == 0 else e * (1 - k))
+
+
+def _record(i: int, is_test: bool, c: int, t: int | None, epoch: int, out: RoundOutcome) -> RoundRecord:
+    """The one rule for a round's record in both protocols: o is W on a
+    test round; on a generation round (always challenge 1) it is the
+    answer's bit, b or v, when W = 1, and 2 otherwise."""
+    if is_test:
+        o = out.w
+    else:
+        o = (out.answer["b"] if "b" in out.answer else out.answer["v"]) if out.w else 2
+    return RoundRecord(i, "test" if is_test else "gen", c, t, epoch, out.y, out.answer, out.w, o)
 
 
 def run_protocol1(
@@ -343,23 +395,10 @@ def run_protocol1(
             budget.draw(1.0)
         else:
             c = 1
-        y, answer_rec, w, coin = _play_round(key, prover, rng, c)
-        if coin:
+        out = _play_round(key, prover, rng, c)
+        if out.exit == "coin":
             budget.draw(1.0)
-        o = w if is_test else (answer_rec["b"] if w else 2)
-        tr.records.append(
-            RoundRecord(
-                index=i,
-                round_type="test" if is_test else "gen",
-                challenge=c,
-                t=None,
-                key_epoch=len(tr.epochs) - 1,
-                y=y,
-                answer=answer_rec,
-                w=w,
-                o=o,
-            )
-        )
+        tr.records.append(_record(i, is_test, c, None, len(tr.epochs) - 1, out))
         # transport adapters flush round framing here; local provers have no hook
         end_round = getattr(prover, "end_round", None)
         if end_round is not None:
@@ -418,41 +457,7 @@ def run_protocol2(
             budget.draw(1.0 + _h2(profile.kappa))
         else:
             c, t = 1, 0
-
-        try:
-            ans = prover.round2(c, t)
-            if c == 0:
-                e, k = (exact_int(ans[0]), None if ans[1] is None else exact_int(ans[1]))
-                if e not in (0, 1) or (t == 1 and k not in (0, 1)):
-                    raise MalformedAnswer("bad simplified equation report")
-                answer_rec = {"e": e, "k": k}
-                w = e if t == 0 else e * (1 - k)  # c = 0 only on test rounds, which record o = w
-            else:
-                v = exact_int(ans)
-                if v not in (0, 1, 2):
-                    raise MalformedAnswer("bad preimage label")
-                answer_rec = {"v": v}
-                w = int(v in (0, 1))
-                o = v
-        except SessionAbort:
-            raise
-        except Exception as exc:
-            answer_rec = {"malformed": f"{type(exc).__name__}: {exc}"}
-            w, o = 0, 2
-
-        tr.records.append(
-            RoundRecord(
-                index=i,
-                round_type="test" if is_test else "gen",
-                challenge=c,
-                t=t if is_test else 0,
-                key_epoch=0,
-                y=None,
-                answer=answer_rec,
-                w=w,
-                o=o if not is_test else w,
-            )
-        )
+        tr.records.append(_record(i, is_test, c, t, 0, _play_round2(prover, c, t)))
 
     scored = [r for r in tr.records if r.round_type == "test" and r.t == 1]
     threshold = (1 - profile.gamma / profile.kappa - profile.eta) * profile.kappa * profile.p_test * N
@@ -489,7 +494,7 @@ def single_round_test(
         key = gen(profile, rng)
         _give_key(prover, key)
         c = int(rng.integers(0, 2))
-        w = _play_round(key, prover, rng, c)[2]
+        w = _play_round(key, prover, rng, c).w
         if c == 0:
             eq[w] += 1
         else:

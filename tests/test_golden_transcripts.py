@@ -210,3 +210,17 @@ def test_flaky_prover_reaches_both_malformed_paths():
     assert any("sample shape" in n for n in notes)
     assert any("arity" in n for n in notes)
     assert np.any([r.w for r in tr.records])
+
+
+def test_flaky_reporter_texts():
+    # protocol 2 words a malformed report as protocol 1 does: a raise is
+    # "prover raised ...", and a report outside its domain says which check refused it
+    prof = get_profile("micro", N=200, p_test=0.3)
+    tr = run_protocol2(prof, FlakyReporter(), substream(SEED, "verifier", "protocol2"))
+    notes = {r.answer["malformed"] for r in tr.records if "malformed" in r.answer}
+    assert notes == {
+        "prover raised RuntimeError: device lost",
+        "bad equation report arity: 1",
+        "report out of domain: 0.5 is not an integer",
+        "bad preimage label",
+    }

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from clawrand.clawfree import claw_from_image, gen
+from clawrand.clawfree import claw_equation_bit, claw_from_image, claw_through, gen, in_good_set, sample_branch
 from clawrand.devices import branch_weight, honest_qubit_device, post_measurement
 from clawrand.extract import empirical_min_entropy
 from clawrand.modq import SizeGuardError
@@ -15,6 +15,7 @@ from clawrand.protocol import (
     ReplayProver,
     SessionAbort,
     Transcript,
+    _play_round,
     prover_catalog,
     protocol1_verdict,
     run_protocol1,
@@ -345,6 +346,83 @@ def test_protocol2_non_integral_reports_score_zero():
     tr = run_protocol2(prof, Fractional(), substream(18, "verifier"))
     assert tr.test_count > 0 and tr.test_passes == 0
     assert all("malformed" in r.answer for r in tr.records)
+
+
+@pytest.mark.parametrize("report", [(1, 0, "junk", None), (1, 5)], ids=["four-entries", "k-out-of-domain"])
+def test_protocol2_equation_report_is_a_pair_of_bits(report):
+    # an equation report is exactly (e, k), e a bit and k a bit (None also
+    # when unprobed): extra entries are not dropped, and k = 5 is not
+    # recorded on an unprobed round
+    class Odd:
+        def round2(self, c, t):
+            return report if c == 0 else 0
+
+    prof = get_profile("micro", N=200, p_test=0.5)
+    tr = run_protocol2(prof, Odd(), substream(19, "verifier"))
+    eq = [r for r in tr.records if r.challenge == 0]
+    assert {r.t for r in eq} == {0, 1}
+    assert all(r.w == 0 and "malformed" in r.answer for r in eq)
+
+
+class _Scripted:
+    """Hands the verifier a fixed sample and a fixed answer."""
+
+    wants_trapdoor = False
+
+    def __init__(self, sample, ans):
+        self.sample = sample
+        self.ans = ans
+
+    def next_sample(self):
+        return self.sample
+
+    def answer(self, c, t=None):
+        return self.ans
+
+
+def _exit_cases():
+    """A desk-small key and, for each exit of protocol 1's round rule, the
+    challenge and the scripted prover that takes it."""
+    key = gen(get_profile("desk-small"), substream(23, "key"))
+    rng = substream(23, "prover")
+    ring, prof = key.ring, key.profile
+    x0, y = sample_branch(key.public, 0, rng)
+    x1 = claw_through(key, 0, x0)[1]
+    while True:
+        d = rng.integers(0, 2, size=prof.w, dtype=np.int64)
+        if in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d):
+            break
+    u = claw_equation_bit(ring, x0, x1, d)
+    uniform = ring.uniform(rng, prof.m)
+    with pytest.raises(DecodeFailure):
+        claw_from_image(key, uniform)
+    return key, {
+        "malformed_sample": (1, _Scripted(y[:-1], ("pre", 0, x0))),
+        "malformed_answer": (1, _Scripted(y, ("pre",))),
+        "inv_fail": (0, _Scripted(uniform, ("eq", u, d))),
+        "chk": (1, _Scripted(y, ("pre", 0, x0))),
+        "parity": (0, _Scripted(y, ("eq", u, d))),
+        "coin": (0, _Scripted(y, ("eq", u, np.zeros(prof.w, dtype=np.int64)))),
+    }
+
+
+@pytest.mark.parametrize("exit", ["malformed_sample", "malformed_answer", "inv_fail", "chk", "parity", "coin"])
+def test_every_exit_of_a_protocol1_round(exit):
+    key, cases = _exit_cases()
+    c, prover = cases[exit]
+    out = _play_round(key, prover, substream(23, "verifier"), c)
+    assert out.exit == exit
+    if exit == "malformed_sample":
+        assert out.y is None
+    else:
+        assert np.array_equal(out.y, prover.sample)
+    if exit in ("malformed_sample", "malformed_answer", "inv_fail"):
+        assert out.w == 0
+    if exit in ("chk", "parity"):
+        assert out.w == 1
+    if exit == "coin":
+        assert out.w in (0, 1)
+    assert ("malformed" in out.answer) == exit.startswith("malformed")
 
 
 @pytest.mark.parametrize("p_test,rounds", [(0.1, 0), (0.0, 20)])
