@@ -456,7 +456,11 @@ def keypair_to_json(key: KeyPair) -> dict:
 def keypair_from_json(obj: dict, profile: ParameterProfile) -> KeyPair:
     """Load a key pair, raising ValueError unless s is binary, e is within
     the key-noise width B_V, u = A*s + e (mod q) and any trapdoor is for the
-    public A."""
+    public A.
+
+    Only the tests call it.  It is kept as the one reader of what
+    `keygen --secret-out` writes, so that secret key material read back is
+    checked before it is trusted."""
     pub = public_key_from_json(obj["public"], profile)
     gadget = None if obj["trapdoor"] is None else trapdoor_from_json(obj["trapdoor"])
     s_bits, e = exact_int64(obj["s"]), exact_int64(obj["e"])

@@ -1,5 +1,4 @@
-"""Gadget-based trapdoors for noisy linear systems over Z_q, and the
-low-rank-plus-noise (lossy) matrix sampler.
+"""Gadget-based trapdoors for noisy linear systems over Z_q.
 
 A trapdoor key is a matrix A = [Abar; G - R*Abar] (rows stacked), with
 Abar uniform, R ternary, and G the powers-of-two gadget.  Multiplying a
@@ -75,6 +74,9 @@ class TrapdoorKey:
         return self.n * self.ring.coord_bits
 
     def validate(self):
+        """Raise ValueError unless the layout, R's entries and the block
+        identity A = [Abar; G - R*Abar] hold.  Only trapdoor_from_json
+        calls it, for the secret-key loader that the tests use."""
         if not 1 <= self.mbar < self.m or self.R.shape != (self.m - self.mbar, self.mbar):
             raise ValueError("trapdoor layout needs 1 <= mbar < m and R of shape (m - mbar, mbar)")
         G = gadget_matrix(self.ring, self.n)
@@ -355,6 +357,9 @@ def trapdoor_to_json(key: TrapdoorKey) -> dict:
 
 
 def trapdoor_from_json(obj: dict) -> TrapdoorKey:
+    """Load and validate a trapdoor.  Only the tests call it, through
+    clawfree.keypair_from_json, which is kept as the checked reader of
+    what `keygen --secret-out` writes."""
     ring, A = mat_from_json(obj["A"])
     R = int_mat_from_json(obj["R"])
     key = TrapdoorKey(ring=ring, A=A, R=R, mbar=exact_int(obj["layout"]["mbar"]))
@@ -362,50 +367,13 @@ def trapdoor_from_json(obj: dict) -> TrapdoorKey:
     return key
 
 
-# -- lossy mode -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LossyMatrix:
-    ring: ModRing
-    A_tilde: np.ndarray  # (m, n)
-    B: np.ndarray  # (m, ell)
-    C: np.ndarray  # (ell, n)
-    F: np.ndarray  # (m, n) noise
-    ell: int
-
-
-def lossy_sample(
-    ring: ModRing, n: int, m: int, ell: int, chi: TruncGaussian, rng: np.random.Generator
-) -> LossyMatrix:
-    """Low-rank-plus-noise matrix B*C + F with F entries i.i.d. chi."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    B = ring.uniform(rng, (m, ell))
-    C = ring.uniform(rng, (ell, n))
-    F = chi.sample_vec(rng, m * n).reshape(m, n)
-    A_tilde = ring.reduce(ring.matmul(B, C) + F)
-    return LossyMatrix(ring=ring, A_tilde=A_tilde, B=B, C=C, F=F, ell=ell)
-
-
-def lossy_shift_bound(m: int, n: int, B_L: float, B_V: float) -> float:
-    """sqrt(2) * (1 - exp(-2*pi*m*n*B_L/B_V))^(1/2): statistical distance
-    cost of dropping the F*s term from a lossy sample with binary s."""
-    if B_V <= 0:
-        raise ValueError("B_V must be positive")
-    return math.sqrt(2.0) * math.sqrt(1.0 - math.exp(-2.0 * math.pi * m * n * B_L / B_V))
-
-
 __all__ = [
     "DecodeFailure",
     "TrapdoorKey",
-    "LossyMatrix",
     "gen_trap",
     "invert",
     "exhaustive_invert",
     "measure_decode_radius",
-    "lossy_sample",
-    "lossy_shift_bound",
     "trapdoor_to_json",
     "trapdoor_from_json",
 ]

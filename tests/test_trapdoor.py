@@ -19,8 +19,6 @@ from clawrand.trapdoor import (
     exhaustive_invert,
     gen_trap,
     invert,
-    lossy_sample,
-    lossy_shift_bound,
     measure_decode_radius,
     trapdoor_from_json,
     trapdoor_to_json,
@@ -189,53 +187,6 @@ def test_serialization_roundtrip():
     assert np.array_equal(key.A, key2.A)
     assert np.array_equal(key.R, key2.R)
     assert key.mbar == key2.mbar
-
-
-def test_lossy_sample_shapes_and_zero_noise_rank():
-    ring = ModRing(13)
-    rng = np.random.default_rng(8)
-    chi = TruncGaussian(ring, 0.5)  # identically zero
-    lm = lossy_sample(ring, 3, 6, 2, chi, rng)
-    assert lm.A_tilde.shape == (6, 3)
-    assert lm.B.shape == (6, 2) and lm.C.shape == (2, 3) and lm.F.shape == (6, 3)
-    assert not lm.F.any()
-    assert np.array_equal(lm.A_tilde, ring.matmul(lm.B, lm.C))
-    # rank over Z_q at most ell: every 3x3 minor has determinant 0 mod q
-    dets = []
-    for rows in itertools.combinations(range(6), 3):
-        sub = lm.A_tilde[list(rows)]
-        dets.append(round(np.linalg.det(sub.astype(float))) % 13)
-    assert all(d == 0 for d in dets)
-
-
-def test_lossy_sample_deterministic():
-    ring = ModRing(13)
-    chi = TruncGaussian(ring, 1.0)
-    a = lossy_sample(ring, 3, 6, 2, chi, np.random.default_rng(9))
-    b = lossy_sample(ring, 3, 6, 2, chi, np.random.default_rng(9))
-    assert np.array_equal(a.A_tilde, b.A_tilde)
-
-
-def test_lossy_noise_times_binary_secret_bound():
-    ring = ModRing(61)
-    rng = np.random.default_rng(10)
-    chi = TruncGaussian(ring, 1.0)
-    n, m = 4, 8
-    lm = lossy_sample(ring, n, m, 1, chi, rng)
-    for _ in range(50):
-        s = rng.integers(0, 2, size=n)
-        assert ring.norm(ring.matmul(lm.F, s)) <= n * math.sqrt(m) * 1.0 + 1e-9
-
-
-def test_lossy_shift_bound():
-    assert lossy_shift_bound(4, 4, 1.0, 1e6) == pytest.approx(
-        math.sqrt(2) * math.sqrt(1 - math.exp(-32 * math.pi * 1e-6))
-    )
-    assert lossy_shift_bound(2, 2, 1e-9, 1.0) == pytest.approx(0.0, abs=1e-3)
-    vals = [lossy_shift_bound(3, 3, bl, 10.0) for bl in (0.1, 0.5, 1.0, 2.0)]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        lossy_shift_bound(2, 2, 1.0, 0.0)
 
 
 def test_gadget_block_combination_cancels():
