@@ -97,6 +97,13 @@ PROTOCOL1 = {
         "3a9ececde94c9eb8c2b4b3a99bd0eaf43f092fb96f79610f41cc562b94e19fce",
     ("micro", "flaky", 200):
         "9b3382d4ae5a4423a4e2c7143348fddf993cd7c8c0c6c6f6066b6e65b141081c",
+    ("micro3", "qsim-micro", 200):
+        "a1440c7b41a1d0e9ed62c0bb2aee74bda8c33d3cefbf03fb671fae41a1025a89",
+    ("micro-noisy", "qsim-micro", 200):
+        "75bdede9e9e0975255700595d3916c5007cded2381274d1c7451740f806c0bc4",
+    # uniform images at micro-noisy: tied exhaustive decodes are refused
+    ("micro-noisy", "classical-random", 200):
+        "e453a75372f0a42ec5221f6a62d50828f4cba8e84bd44acfb6e2616e0fe7baba",
     ("desk-small", "ideal", 150):
         "6345e931e9cade76d71bf379e359f040c72befb2df3ea3fa70bce8b4c465ea4a",
     ("desk-small", "classical-committed", 150):
