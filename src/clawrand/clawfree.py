@@ -20,7 +20,7 @@ brute force.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,9 +42,11 @@ from .modq import (
 from .profiles import ParameterProfile
 from .trapdoor import (
     DecodeFailure,
+    ImageTable,
     TrapdoorKey,
     exhaustive_invert,
     gen_trap,
+    image_table,
     invert,
     trapdoor_from_json,
     trapdoor_to_json,
@@ -71,14 +73,22 @@ class KeyPair:
 
     The secret bits and the key noise are recovered at generation time and
     cached here: inversion of branch 1 needs s itself, not just the
-    lattice trapdoor.  gadget is None for micro shapes (m < w + n), where
-    inversion is a full search instead.
+    lattice trapdoor.  gadget is None for micro shapes (m < w + n); there
+    table holds the exhaustive decode of every image, made with the key
+    (by gen from the image grid it has already built, else from A here)
+    and dropped with it.
     """
 
     public: PublicKey
     gadget: TrapdoorKey | None
     s_bits: np.ndarray  # (n,) in {0,1}
     e: np.ndarray  # (m,) centered representatives
+    table: ImageTable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.gadget is None and self.table is None:
+            A = self.public.A
+            object.__setattr__(self, "table", image_table(self.ring, A, _image_grid(self.ring, A)))
 
     @property
     def profile(self) -> ParameterProfile:
@@ -107,15 +117,19 @@ def invert_sample(key: KeyPair, y) -> tuple[np.ndarray, np.ndarray]:
     bound = _sample_noise_bound(key.profile)
     if key.gadget is not None:
         return invert(key.gadget, y, max_norm=bound)
-    return exhaustive_invert(key.ring, key.public.A, y, max_norm=bound)
+    return exhaustive_invert(key.table, y, max_norm=bound)
 
 
-def _min_claw_distance(ring: ModRing, A: np.ndarray) -> float:
-    # smallest image distance between distinct points; only evaluated for
-    # micro shapes where q^n is tiny
-    n = A.shape[1]
-    grid = residue_grid(ring.q, n)[1:]  # all nonzero deltas
-    img = ring.centered(grid @ A.T).astype(float)
+def _image_grid(ring: ModRing, A: np.ndarray) -> np.ndarray:
+    # A*s, unreduced, for every s in Z_q^n in residue_grid order; only
+    # built for micro shapes where q^n is tiny
+    return residue_grid(ring.q, A.shape[1]) @ A.T
+
+
+def _min_claw_distance(ring: ModRing, images: np.ndarray) -> float:
+    # smallest image distance between distinct points: row 0 of the image
+    # grid is s = 0, so the other rows are the images of all nonzero deltas
+    img = ring.centered(images[1:]).astype(float)
     return float(np.sqrt((img * img).sum(axis=1)).min())
 
 
@@ -127,18 +141,21 @@ def gen(profile: ParameterProfile, rng: np.random.Generator) -> KeyPair:
         if profile.uses_gadget:
             gadget = gen_trap(ring, profile.n, profile.m, rng)
             A = gadget.A
+            table = None
         else:
             gadget = None
             A = ring.uniform(rng, (profile.m, profile.n))
+            images = _image_grid(ring, A)
             # at micro scale a constant fraction of A are geometrically
             # degenerate (colliding branch supports); those draws are not
             # valid keys, so reject and redraw
-            if _min_claw_distance(ring, A) <= 2 * profile.B_P * math.sqrt(profile.m):
+            if _min_claw_distance(ring, images) <= 2 * profile.B_P * math.sqrt(profile.m):
                 continue
+            table = image_table(ring, A, images)
         s_bits = rng.integers(0, 2, size=profile.n, dtype=np.int64)
         e = ring.centered(noise.sample_vec(rng, profile.m))
         u = ring.reduce(ring.matmul(A, s_bits) + e)
-        key = KeyPair(PublicKey(profile, A, u), gadget, s_bits, e)
+        key = KeyPair(PublicKey(profile, A, u), gadget, s_bits, e, table)
         try:
             s0, e0 = invert_sample(key, u)
         except DecodeFailure:

@@ -8,12 +8,19 @@ preimage branches, after which either the preimage registers are read out
 directly, or the bit encoding of (b, x) is sent through a (w+1)-fold
 Hadamard and measured, yielding (u, d) with u = d.(J(x0) xor J(x1)) on
 every outcome when the key noise is zero.
+
+What depends only on the key and the image is computed once: the image
+distribution's cdf when the state is prepared, and an image's collapsed
+amplitudes and readout cdfs the first time that image is measured.  A
+draw searches a cdf as Generator.choice does, with the same single
+rng.random() draw, so the outcomes and the stream are choice's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,20 +29,64 @@ from .gaussians import hellinger_sq
 from .modq import MAX_GRID, SizeGuardError, residue_grid
 
 
-@dataclass
-class PreparedState:
-    pub: PublicKey
-    amps: np.ndarray  # (2, q^n, q^m) real amplitudes
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The cdf that Generator.choice(p.size, p=p) searches."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
-    def norm(self) -> float:
-        return float(np.sqrt((self.amps**2).sum()))
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """The index Generator.choice would draw from cdf's distribution, with
+    the same single rng.random() draw."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 @dataclass
 class CollapsedState:
+    """The state after the image y is measured.  Its readout cdfs are
+    computed the first time each is needed and kept with it."""
+
     pub: PublicKey
     y: np.ndarray  # (m,) residues
     amps: np.ndarray  # (2, q^n) real amplitudes over (b, x)
+
+    @cached_property
+    def preimage_cdf(self) -> np.ndarray:
+        """cdf of (b, x), in (b, residue_grid) order."""
+        probs = (self.amps**2).reshape(-1)
+        return _cdf(probs / probs.sum())
+
+    @cached_property
+    def equation_cdf(self) -> np.ndarray:
+        """cdf of the Hadamard-measured register, indexed (u << w) | d."""
+        prof = self.pub.profile
+        q, n, w = prof.q, prof.n, prof.w
+        if 2 ** (w + 1) > MAX_GRID:
+            raise SizeGuardError(f"bit register 2^{w + 1} exceeds {MAX_GRID}")
+        # bit_encode puts coordinate i at bits [i*k, (i+1)*k), so the register
+        # index of x is sum_i x_i * 2^(i*k)
+        jint = residue_grid(q, n) @ (1 << (self.pub.ring.coord_bits * np.arange(n, dtype=np.int64)))
+        psi = np.zeros(2 ** (w + 1))
+        psi[(np.arange(2)[:, None] << w) | jint] = self.amps
+        out = _fwht(psi) / math.sqrt(psi.size)
+        probs = out**2
+        return _cdf(probs / probs.sum())
+
+
+@dataclass
+class PreparedState:
+    """The prepared state of one key.  Each image's collapsed state is
+    built the first time that image is measured and reused after."""
+
+    pub: PublicKey
+    amps: np.ndarray  # (2, q^n, q^m) real amplitudes
+    probs: np.ndarray  # (q^m,) image marginal
+    image_cdf: np.ndarray  # (q^m,)
+    collapsed: dict[int, CollapsedState] = field(default_factory=dict)
+
+    def norm(self) -> float:
+        return float(np.sqrt((self.amps**2).sum()))
 
 
 def prepare_sampling_state(pub: PublicKey) -> PreparedState:
@@ -54,30 +105,32 @@ def prepare_sampling_state(pub: PublicKey) -> PreparedState:
     for j in range(1, m):
         amps = (amps[..., :, None] * cols[:, :, j, None, :]).reshape(2, q**n, -1)
     amps = np.sqrt(amps / (2 * q**n))
-    return PreparedState(pub, amps)
+    probs = (amps**2).sum(axis=(0, 1))
+    return PreparedState(pub, amps, probs, _cdf(probs / probs.sum()))
 
 
 def measure_image(state: PreparedState, rng: np.random.Generator) -> CollapsedState:
     """Born-rule measurement of the image register."""
-    prof = state.pub.profile
-    probs = (state.amps**2).sum(axis=(0, 1))
-    yi = int(rng.choice(probs.size, p=probs / probs.sum()))
-    collapsed = state.amps[:, :, yi] / math.sqrt(probs[yi])
-    y = np.array(np.unravel_index(yi, (prof.q,) * prof.m), dtype=np.int64)
-    return CollapsedState(state.pub, y, collapsed)
+    yi = _draw(state.image_cdf, rng)
+    col = state.collapsed.get(yi)
+    if col is None:
+        prof = state.pub.profile
+        collapsed = state.amps[:, :, yi] / math.sqrt(state.probs[yi])
+        y = np.array(np.unravel_index(yi, (prof.q,) * prof.m), dtype=np.int64)
+        col = state.collapsed[yi] = CollapsedState(state.pub, y, collapsed)
+    return col
 
 
 def measure_preimage(col: CollapsedState, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Read out (b, x) from a collapsed state."""
     prof = col.pub.profile
-    probs = (col.amps**2).reshape(-1)
-    i = int(rng.choice(probs.size, p=probs / probs.sum()))
+    i = _draw(col.preimage_cdf, rng)
     b, *x = np.unravel_index(i, (2,) + (prof.q,) * prof.n)
     return int(b), np.array(x, dtype=np.int64)
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh-Hadamard transform (unnormalized)."""
+    """Fast Walsh-Hadamard transform (unnormalized) of a copy of v."""
     h = 1
     v = v.copy()
     while h < v.size:
@@ -93,18 +146,8 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 
 def measure_equation(col: CollapsedState, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Encode (b, x) into bits, Hadamard all w+1 of them, measure (u, d)."""
-    prof = col.pub.profile
-    q, n, w = prof.q, prof.n, prof.w
-    if 2 ** (w + 1) > MAX_GRID:
-        raise SizeGuardError(f"bit register 2^{w + 1} exceeds {MAX_GRID}")
-    # bit_encode puts coordinate i at bits [i*k, (i+1)*k), so the register
-    # index of x is sum_i x_i * 2^(i*k)
-    jint = residue_grid(q, n) @ (1 << (col.pub.ring.coord_bits * np.arange(n, dtype=np.int64)))
-    psi = np.zeros(2 ** (w + 1))
-    psi[(np.arange(2)[:, None] << w) | jint] = col.amps
-    out = _fwht(psi) / math.sqrt(psi.size)
-    probs = out**2
-    t = int(rng.choice(probs.size, p=probs / probs.sum()))
+    w = col.pub.profile.w
+    t = _draw(col.equation_cdf, rng)
     u, dint = t >> w, t & ((1 << w) - 1)
     d = (dint >> np.arange(w, dtype=np.int64)) & 1
     return u, d.astype(np.int64)

@@ -28,6 +28,11 @@ block table, filled row by row the first time a block is met, so a
 decode gathers its n rows in one lookup.  The table is a cache of that
 computation, so every outcome is the one it gives.  A key holds no decode
 state: a fallback search builds its candidates' prefix rows from A.
+
+Micro shapes (m < w + n) have no gadget and are inverted by a full search
+over s in Z_q^n.  Its answer depends only on A and the image, so
+image_table runs it once per A for all q^m images, in integer arithmetic,
+and exhaustive_invert looks the image up.
 """
 
 from __future__ import annotations
@@ -38,7 +43,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussians import TruncGaussian
-from .modq import ModRing, exact_int, gadget_matrix, int_mat_from_json, mat_from_json, mat_to_json, residue_grid
+from .modq import (
+    MAX_GRID,
+    ModRing,
+    SizeGuardError,
+    exact_int,
+    gadget_matrix,
+    int_mat_from_json,
+    mat_from_json,
+    mat_to_json,
+    residue_grid,
+)
 
 # A modulus with at most this many distinct blocks (q^k) keeps a table of
 # block decodes, filled as blocks are met.
@@ -294,22 +309,78 @@ def _first_within(sq, head, tail, max_norm):
     return int(live[hits[0]]) if hits.size else None
 
 
-def exhaustive_invert(ring: ModRing, A: np.ndarray, y, max_norm: float):
-    """Trapdoor-free inversion by full search over s in Z_q^n.
+@dataclass(frozen=True)
+class ImageTable:
+    """Exhaustive decode of every image under one public A, for micro
+    shapes without a gadget trapdoor (m < w + n).
 
-    Only for micro shapes where q^n is tiny (the gadget construction needs
-    m >= w + n, which micro profiles deliberately violate).  Fails unless a
-    unique s gives a residual within max_norm.
+    Row i is for the image y of index i in residue_grid(q, m) order, the
+    first coordinate most significant: the s in Z_q^n, first in
+    residue_grid order, whose residual y - A*s has the least centered
+    norm, that residual, its squared norm, and whether another s attains
+    the same norm."""
+
+    ring: ModRing
+    s: np.ndarray  # (q^m, n) residues
+    e: np.ndarray  # (q^m, m) centered
+    norm2: np.ndarray  # (q^m,) squared norm of e
+    tied: np.ndarray  # (q^m,) bool
+
+
+def image_table(ring: ModRing, A: np.ndarray, images: np.ndarray) -> ImageTable:
+    """The ImageTable of A, from its image grid images = residue_grid(q, n)
+    @ A.T (unreduced).  The search covers q^(n+m) pairs (s, y); a shape
+    past the state-space guard 2*q^(n+m) <= MAX_GRID that qsim also keeps
+    raises SizeGuardError before anything is allocated."""
+    q = ring.q
+    m, n = A.shape
+    if 2 * q ** (n + m) > MAX_GRID:
+        raise SizeGuardError(f"image table 2*q^(n+m) = {2 * q ** (n + m)} exceeds {MAX_GRID}")
+    # c[t, s, j] is t - (A*s)_j centered, for every value t of a coordinate
+    c = ring.centered(np.arange(q)[:, None, None] - images[None])
+    sq = c * c
+    # norm2[y, s] = |y - A*s|^2 with y in residue_grid order: an outer sum
+    # of the coordinates' squared residues, first coordinate outermost
+    norm2 = sq[:, :, 0]
+    for j in range(1, m):
+        norm2 = (norm2[:, None, :] + sq[None, :, :, j]).reshape(-1, q**n)
+    best = norm2.argmin(axis=1)
+    least = norm2[np.arange(q**m), best]
+    return ImageTable(
+        ring=ring,
+        s=residue_grid(q, n)[best],
+        e=c[residue_grid(q, m), best[:, None], np.arange(m)],
+        norm2=least,
+        tied=(norm2 == least[:, None]).sum(axis=1) > 1,
+    )
+
+
+def exhaustive_invert(table: ImageTable, y, max_norm: float):
+    """Trapdoor-free inversion at micro shapes, by one lookup in the key's
+    ImageTable.
+
+    Returns (s, e) for the s whose residual e = y - A*s has the least
+    centered norm, even where other s are also within max_norm.  Fails if
+    that least norm exceeds max_norm, or if another s attains it.  y must
+    have shape (m,) and entries in [0, q).
     """
-    grid = residue_grid(ring.q, A.shape[1])
-    resid = ring.centered(np.asarray(y)[None, :] - grid @ A.T)
-    norms2 = (resid.astype(float) ** 2).sum(axis=1)
-    i = int(np.argmin(norms2))
-    if math.sqrt(norms2[i]) > max_norm:
+    q = table.ring.q
+    m = table.e.shape[1]
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != (m,):
+        raise ValueError(f"sample must have shape ({m},)")
+    # m is small: the range check and the row index run on Python ints
+    entries = y.tolist()
+    if min(entries) < 0 or max(entries) >= q:
+        raise ValueError(f"sample entries must lie in [0, {q})")
+    i = 0
+    for v in entries:
+        i = i * q + v
+    if math.sqrt(table.norm2[i]) > max_norm:
         raise DecodeFailure("no candidate within the noise bound")
-    if int((norms2 == norms2[i]).sum()) > 1:
+    if table.tied[i]:
         raise DecodeFailure("ambiguous decode: tied minimal residuals")
-    return grid[i], resid[i]
+    return table.s[i].copy(), table.e[i].copy()
 
 
 def measure_decode_radius(
@@ -372,6 +443,8 @@ __all__ = [
     "TrapdoorKey",
     "gen_trap",
     "invert",
+    "ImageTable",
+    "image_table",
     "exhaustive_invert",
     "measure_decode_radius",
     "trapdoor_to_json",

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from clawrand.profiles import get_profile
 from clawrand.qsim import (
     IdealProver,
     SimulatedProver,
+    _cdf,
+    _draw,
     _fwht,
     equation_violation_bound,
     measure_equation,
@@ -242,6 +245,28 @@ def _measure_equation_reference(col, rng):
     return t >> w, (t & ((1 << w) - 1)) >> np.arange(w, dtype=np.int64) & 1
 
 
+def _measure_image_reference(state, rng):
+    # reference: the image marginal summed and drawn by rng.choice per shot
+    prof = state.pub.profile
+    probs = (state.amps**2).sum(axis=(0, 1))
+    yi = int(rng.choice(probs.size, p=probs / probs.sum()))
+    collapsed = state.amps[:, :, yi] / math.sqrt(probs[yi])
+    return np.array(np.unravel_index(yi, (prof.q,) * prof.m), dtype=np.int64), collapsed
+
+
+def _measure_preimage_reference(col, rng):
+    # reference: the (b, x) readout drawn by rng.choice per shot
+    prof = col.pub.profile
+    probs = (col.amps**2).reshape(-1)
+    i = int(rng.choice(probs.size, p=probs / probs.sum()))
+    b, *x = np.unravel_index(i, (2,) + (prof.q,) * prof.n)
+    return int(b), np.array(x, dtype=np.int64)
+
+
+def _same_state(a, b):
+    return a.bit_generator.state == b.bit_generator.state
+
+
 def _violation_reference(key):
     # fidelity of the two full state vectors, from A*s and from u
     pub = key.public
@@ -259,17 +284,43 @@ def test_prepare_and_measure_match_loop_references(name, overrides):
     # grid and of the bit register index matters
     prof = get_profile(name, **overrides)
     rng = substream(15, "loop-ref", name, prof.n)
+    # every reference draws with rng.choice from a copy of the stream: the
+    # draws and the streams' states must agree, on first and repeated images
     for _ in range(5):
         key = gen(prof, rng)
         state = prepare_sampling_state(key.public)
         assert np.array_equal(state.amps, _prepare_reference(key.public))
         for shot in range(20):
+            ref = copy.deepcopy(rng)
             col = measure_image(state, rng)
-            u, d = measure_equation(col, substream(16, name, shot))
-            u_ref, d_ref = _measure_equation_reference(col, substream(16, name, shot))
-            assert u == u_ref and np.array_equal(d, d_ref)
+            y_ref, amps_ref = _measure_image_reference(state, ref)
+            assert np.array_equal(col.y, y_ref) and np.array_equal(col.amps, amps_ref)
+            assert _same_state(rng, ref)
+            eq_rng = substream(16, name, shot)
+            eq_ref = copy.deepcopy(eq_rng)
+            u, d = measure_equation(col, eq_rng)
+            u_ref, d_ref = _measure_equation_reference(col, eq_ref)
+            assert u == u_ref and np.array_equal(d, d_ref) and _same_state(eq_rng, eq_ref)
+            ref = copy.deepcopy(rng)
             b, x = measure_preimage(col, rng)
+            b_ref, x_ref = _measure_preimage_reference(col, ref)
+            assert b == b_ref and np.array_equal(x, x_ref) and _same_state(rng, ref)
             assert np.array_equal(inv(key, b, col.y), x)
+    assert len(state.collapsed) < 20  # some images were met again
+
+
+def test_draw_matches_generator_choice():
+    # random distributions, some entries zero, on the sizes the simulator meets
+    rng = substream(24, "draws")
+    for k in (1, 2, 3, 25, 32, 169, 625):
+        for i in range(100):
+            p = rng.random(k) * (rng.random(k) < 0.7)
+            if not p.any():
+                p[rng.integers(k)] = 1.0
+            p = p / p.sum()
+            ours, theirs = substream(25, k, i), substream(25, k, i)
+            assert _draw(_cdf(p), ours) == int(theirs.choice(k, p=p))
+            assert _same_state(ours, theirs)
 
 
 def test_violation_bound_matches_two_state_reference():

@@ -18,6 +18,7 @@ from clawrand.trapdoor import (
     TrapdoorKey,
     exhaustive_invert,
     gen_trap,
+    image_table,
     invert,
     measure_decode_radius,
     trapdoor_from_json,
@@ -160,15 +161,97 @@ def test_invert_flags_uniform_garbage():
     assert loose >= 150  # rarely, garbage sits near the lattice; flagged otherwise
 
 
+def _table(ring, A):
+    return image_table(ring, A, residue_grid(ring.q, A.shape[1]) @ A.T)
+
+
 def test_exhaustive_invert_micro():
     ring = ModRing(5)
     A = np.array([[1], [2]], dtype=np.int64)
+    table = _table(ring, A)
     for s in range(5):
         y = ring.matmul(A, [s])
-        s2, e2 = exhaustive_invert(ring, A, y, max_norm=1.3)
+        s2, e2 = exhaustive_invert(table, y, max_norm=1.3)
         assert s2[0] == s and not e2.any()
     with pytest.raises(DecodeFailure):
-        exhaustive_invert(ring, A, np.array([2, 0]), max_norm=0.5)
+        exhaustive_invert(table, np.array([2, 0]), max_norm=0.5)
+
+
+def test_exhaustive_invert_returns_the_nearest_s_not_a_unique_one():
+    # s = 1 leaves residual 0 and s = 0 leaves (1, 2), of norm sqrt(5):
+    # both are within the bound, and the nearest is returned
+    ring = ModRing(13)
+    A = np.array([[1], [2]], dtype=np.int64)
+    s, e = exhaustive_invert(_table(ring, A), np.array([1, 2]), max_norm=3.0)
+    assert s.tolist() == [1] and e.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("y", [[1, 2, 3], [1], [[1, 2]]], ids=["long", "short", "nested"])
+def test_exhaustive_invert_refuses_a_sample_of_the_wrong_shape(y):
+    ring = ModRing(13)
+    table = _table(ring, np.array([[1], [2]], dtype=np.int64))
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        exhaustive_invert(table, y, max_norm=3.0)
+
+
+@pytest.mark.parametrize("y", [[14, 15], [1, 13], [-1, 2]], ids=["both-high", "q", "negative"])
+def test_exhaustive_invert_refuses_entries_outside_the_residues(y):
+    # (14, 15) would decode as (1, 2) mod 13
+    ring = ModRing(13)
+    table = _table(ring, np.array([[1], [2]], dtype=np.int64))
+    with pytest.raises(ValueError, match=r"\[0, 13\)"):
+        exhaustive_invert(table, y, max_norm=3.0)
+
+
+def _exhaustive_reference(ring, A, y, max_norm):
+    # the full search over s in Z_q^n that exhaustive_invert ran on every
+    # decode before keys carried an image table
+    grid = residue_grid(ring.q, A.shape[1])
+    resid = ring.centered(np.asarray(y)[None, :] - grid @ A.T)
+    norms2 = (resid.astype(float) ** 2).sum(axis=1)
+    i = int(np.argmin(norms2))
+    if math.sqrt(norms2[i]) > max_norm:
+        raise DecodeFailure("no candidate within the noise bound")
+    if int((norms2 == norms2[i]).sum()) > 1:
+        raise DecodeFailure("ambiguous decode: tied minimal residuals")
+    return grid[i], resid[i]
+
+
+@pytest.mark.parametrize(
+    "name, overrides", [("micro", {}), ("micro-noisy", {}), ("micro", {"n": 2, "m": 4})],
+    ids=["micro", "micro-noisy", "micro-n2"],
+)
+def test_image_table_matches_the_full_search(name, overrides):
+    # every image of 5 keys, at bounds below, at and above the profile's
+    from clawrand.clawfree import _sample_noise_bound, gen
+    from clawrand.profiles import get_profile
+    from clawrand.rngstream import substream
+
+    prof = get_profile(name, **overrides)
+    ring = prof.ring()
+    rng = substream(23, "image-table", name, prof.n)
+    bounds = (0.5, 1.3, _sample_noise_bound(prof), 10.0)
+    kinds = set()
+    for _ in range(5):
+        key = gen(prof, rng)
+        for y in residue_grid(prof.q, prof.m):
+            for bound in bounds:
+                try:
+                    want = _exhaustive_reference(ring, key.public.A, y, bound)
+                except DecodeFailure as exc:
+                    with pytest.raises(DecodeFailure) as got:
+                        exhaustive_invert(key.table, y, bound)
+                    assert str(got.value) == str(exc)
+                    kinds.add(str(exc))
+                    continue
+                got = exhaustive_invert(key.table, y, bound)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                kinds.add("decoded")
+    assert {"decoded", "no candidate within the noise bound"} <= kinds, kinds
+    # the micro keys here leave no image with a tied minimum; the others do
+    tied = "ambiguous decode: tied minimal residuals" in kinds
+    assert tied == (prof != get_profile("micro"))
 
 
 def test_measured_radius_covers_profile_noise():
@@ -437,4 +520,13 @@ def test_exhaustive_invert_refuses_a_search_past_the_grid_limit():
     ring = ModRing(5)
     A = ring.uniform(np.random.default_rng(0), (2, 9))
     with pytest.raises(SizeGuardError):
-        exhaustive_invert(ring, A, np.zeros(2, dtype=np.int64), max_norm=1.0)
+        exhaustive_invert(_table(ring, A), np.zeros(2, dtype=np.int64), max_norm=1.0)
+
+
+def test_image_table_refuses_a_shape_past_the_state_guard():
+    # the image grid has 5 rows, but the table's search covers
+    # 5^(1+9) ~ 9.8e6 pairs (s, y), past MAX_GRID / 2
+    ring = ModRing(5)
+    A = ring.uniform(np.random.default_rng(0), (9, 1))
+    with pytest.raises(SizeGuardError, match="image table"):
+        _table(ring, A)
