@@ -19,6 +19,7 @@ rng.random() draw, so the outcomes and the stream are choice's.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,17 +30,26 @@ from .gaussians import hellinger_sq
 from .modq import MAX_GRID, SizeGuardError, residue_grid
 
 
-def _cdf(p: np.ndarray) -> np.ndarray:
-    """The cdf that Generator.choice(p.size, p=p) searches."""
-    cdf = p.cumsum()
+def _cdf(probs: np.ndarray) -> list[float]:
+    """The cdf that Generator.choice(probs.size, p=probs / probs.sum())
+    searches, as a list."""
+    cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
-    return cdf
+    return cdf.tolist()
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
-    """The index Generator.choice would draw from cdf's distribution, with
-    the same single rng.random() draw."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _draw(cdf: list[float], rng: np.random.Generator) -> int:
+    """The index Generator.choice draws from cdf's distribution: the same
+    single rng.random() draw, searched as cdf.searchsorted(side="right")."""
+    return bisect_right(cdf, rng.random())
+
+
+def _digits(i: int, q: int, n: int) -> np.ndarray:
+    """The vector of Z_q^n at row i of residue_grid(q, n)."""
+    out = [0] * n
+    for j in range(n - 1, -1, -1):
+        i, out[j] = divmod(i, q)
+    return np.array(out, dtype=np.int64)
 
 
 @dataclass
@@ -52,13 +62,12 @@ class CollapsedState:
     amps: np.ndarray  # (2, q^n) real amplitudes over (b, x)
 
     @cached_property
-    def preimage_cdf(self) -> np.ndarray:
+    def preimage_cdf(self) -> list[float]:
         """cdf of (b, x), in (b, residue_grid) order."""
-        probs = (self.amps**2).reshape(-1)
-        return _cdf(probs / probs.sum())
+        return _cdf((self.amps**2).reshape(-1))
 
     @cached_property
-    def equation_cdf(self) -> np.ndarray:
+    def equation_cdf(self) -> list[float]:
         """cdf of the Hadamard-measured register, indexed (u << w) | d."""
         prof = self.pub.profile
         q, n, w = prof.q, prof.n, prof.w
@@ -70,8 +79,7 @@ class CollapsedState:
         psi = np.zeros(2 ** (w + 1))
         psi[(np.arange(2)[:, None] << w) | jint] = self.amps
         out = _fwht(psi) / math.sqrt(psi.size)
-        probs = out**2
-        return _cdf(probs / probs.sum())
+        return _cdf(out**2)
 
 
 @dataclass
@@ -82,7 +90,7 @@ class PreparedState:
     pub: PublicKey
     amps: np.ndarray  # (2, q^n, q^m) real amplitudes
     probs: np.ndarray  # (q^m,) image marginal
-    image_cdf: np.ndarray  # (q^m,)
+    image_cdf: list[float]  # q^m entries
     collapsed: dict[int, CollapsedState] = field(default_factory=dict)
 
     def norm(self) -> float:
@@ -106,7 +114,7 @@ def prepare_sampling_state(pub: PublicKey) -> PreparedState:
         amps = (amps[..., :, None] * cols[:, :, j, None, :]).reshape(2, q**n, -1)
     amps = np.sqrt(amps / (2 * q**n))
     probs = (amps**2).sum(axis=(0, 1))
-    return PreparedState(pub, amps, probs, _cdf(probs / probs.sum()))
+    return PreparedState(pub, amps, probs, _cdf(probs))
 
 
 def measure_image(state: PreparedState, rng: np.random.Generator) -> CollapsedState:
@@ -116,17 +124,15 @@ def measure_image(state: PreparedState, rng: np.random.Generator) -> CollapsedSt
     if col is None:
         prof = state.pub.profile
         collapsed = state.amps[:, :, yi] / math.sqrt(state.probs[yi])
-        y = np.array(np.unravel_index(yi, (prof.q,) * prof.m), dtype=np.int64)
-        col = state.collapsed[yi] = CollapsedState(state.pub, y, collapsed)
+        col = state.collapsed[yi] = CollapsedState(state.pub, _digits(yi, prof.q, prof.m), collapsed)
     return col
 
 
 def measure_preimage(col: CollapsedState, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Read out (b, x) from a collapsed state."""
     prof = col.pub.profile
-    i = _draw(col.preimage_cdf, rng)
-    b, *x = np.unravel_index(i, (2,) + (prof.q,) * prof.n)
-    return int(b), np.array(x, dtype=np.int64)
+    b, xi = divmod(_draw(col.preimage_cdf, rng), prof.q**prof.n)
+    return b, _digits(xi, prof.q, prof.n)
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:

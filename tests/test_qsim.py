@@ -314,12 +314,11 @@ def test_draw_matches_generator_choice():
     rng = substream(24, "draws")
     for k in (1, 2, 3, 25, 32, 169, 625):
         for i in range(100):
-            p = rng.random(k) * (rng.random(k) < 0.7)
-            if not p.any():
-                p[rng.integers(k)] = 1.0
-            p = p / p.sum()
+            probs = rng.random(k) * (rng.random(k) < 0.7)
+            if not probs.any():
+                probs[rng.integers(k)] = 1.0
             ours, theirs = substream(25, k, i), substream(25, k, i)
-            assert _draw(_cdf(p), ours) == int(theirs.choice(k, p=p))
+            assert _draw(_cdf(probs), ours) == int(theirs.choice(k, p=probs / probs.sum()))
             assert _same_state(ours, theirs)
 
 
