@@ -76,7 +76,8 @@ class KeyPair:
     lattice trapdoor.  gadget is None for micro shapes (m < w + n); there
     table holds the exhaustive decode of every image, made with the key
     (by gen from the image grid it has already built, else from A here)
-    and dropped with it.
+    and dropped with it.  A key of a gadget shape without its gadget
+    would need a search past the grid guard, and raises SizeGuardError.
     """
 
     public: PublicKey
@@ -472,13 +473,15 @@ def keypair_to_json(key: KeyPair) -> dict:
 
 def keypair_from_json(obj: dict, profile: ParameterProfile) -> KeyPair:
     """Load a key pair, raising ValueError unless s is binary, e is within
-    the key-noise width B_V, u = A*s + e (mod q) and any trapdoor is for the
-    public A.
+    the key-noise width B_V, u = A*s + e (mod q), a gadget shape carries
+    its trapdoor and any trapdoor is for the public A.
 
     Only the tests call it.  It is kept as the one reader of what
     `keygen --secret-out` writes, so that secret key material read back is
     checked before it is trusted."""
     pub = public_key_from_json(obj["public"], profile)
+    if obj["trapdoor"] is None and profile.uses_gadget:
+        raise ValueError(f"a key of the gadget shape of {profile.name} needs its trapdoor")
     gadget = None if obj["trapdoor"] is None else trapdoor_from_json(obj["trapdoor"])
     s_bits, e = exact_int64(obj["s"]), exact_int64(obj["e"])
     if s_bits.shape != (profile.n,) or np.any((s_bits != 0) & (s_bits != 1)):

@@ -9,19 +9,16 @@ directly, or the bit encoding of (b, x) is sent through a (w+1)-fold
 Hadamard and measured, yielding (u, d) with u = d.(J(x0) xor J(x1)) on
 every outcome when the key noise is zero.
 
-What depends only on the key and the image is computed once: the image
-distribution's cdf when the state is prepared, and an image's collapsed
-amplitudes and readout cdfs the first time that image is measured.  A
-draw searches a cdf as Generator.choice does, with the same single
-rng.random() draw, so the outcomes and the stream are choice's.
+The image marginal and its cdf depend only on the key, so they are
+computed once, when the state is prepared.  A draw searches a cdf as
+Generator.choice does, with the same single rng.random() draw, so the
+outcomes and the stream are choice's.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,71 +27,36 @@ from .gaussians import hellinger_sq
 from .modq import MAX_GRID, SizeGuardError, residue_grid
 
 
-def _cdf(probs: np.ndarray) -> list[float]:
+def _cdf(probs: np.ndarray) -> np.ndarray:
     """The cdf that Generator.choice(probs.size, p=probs / probs.sum())
-    searches, as a list."""
+    searches."""
     cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
-    return cdf.tolist()
+    return cdf
 
 
-def _draw(cdf: list[float], rng: np.random.Generator) -> int:
-    """The index Generator.choice draws from cdf's distribution: the same
-    single rng.random() draw, searched as cdf.searchsorted(side="right")."""
-    return bisect_right(cdf, rng.random())
-
-
-def _digits(i: int, q: int, n: int) -> np.ndarray:
-    """The vector of Z_q^n at row i of residue_grid(q, n)."""
-    out = [0] * n
-    for j in range(n - 1, -1, -1):
-        i, out[j] = divmod(i, q)
-    return np.array(out, dtype=np.int64)
-
-
-@dataclass
-class CollapsedState:
-    """The state after the image y is measured.  Its readout cdfs are
-    computed the first time each is needed and kept with it."""
-
-    pub: PublicKey
-    y: np.ndarray  # (m,) residues
-    amps: np.ndarray  # (2, q^n) real amplitudes over (b, x)
-
-    @cached_property
-    def preimage_cdf(self) -> list[float]:
-        """cdf of (b, x), in (b, residue_grid) order."""
-        return _cdf((self.amps**2).reshape(-1))
-
-    @cached_property
-    def equation_cdf(self) -> list[float]:
-        """cdf of the Hadamard-measured register, indexed (u << w) | d."""
-        prof = self.pub.profile
-        q, n, w = prof.q, prof.n, prof.w
-        if 2 ** (w + 1) > MAX_GRID:
-            raise SizeGuardError(f"bit register 2^{w + 1} exceeds {MAX_GRID}")
-        # bit_encode puts coordinate i at bits [i*k, (i+1)*k), so the register
-        # index of x is sum_i x_i * 2^(i*k)
-        jint = residue_grid(q, n) @ (1 << (self.pub.ring.coord_bits * np.arange(n, dtype=np.int64)))
-        psi = np.zeros(2 ** (w + 1))
-        psi[(np.arange(2)[:, None] << w) | jint] = self.amps
-        out = _fwht(psi) / math.sqrt(psi.size)
-        return _cdf(out**2)
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """The index Generator.choice draws from cdf's distribution, with the
+    same single rng.random() draw."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 @dataclass
 class PreparedState:
-    """The prepared state of one key.  Each image's collapsed state is
-    built the first time that image is measured and reused after."""
-
     pub: PublicKey
     amps: np.ndarray  # (2, q^n, q^m) real amplitudes
     probs: np.ndarray  # (q^m,) image marginal
-    image_cdf: list[float]  # q^m entries
-    collapsed: dict[int, CollapsedState] = field(default_factory=dict)
+    image_cdf: np.ndarray  # (q^m,)
 
     def norm(self) -> float:
         return float(np.sqrt((self.amps**2).sum()))
+
+
+@dataclass
+class CollapsedState:
+    pub: PublicKey
+    y: np.ndarray  # (m,) residues
+    amps: np.ndarray  # (2, q^n) real amplitudes over (b, x)
 
 
 def prepare_sampling_state(pub: PublicKey) -> PreparedState:
@@ -119,20 +81,19 @@ def prepare_sampling_state(pub: PublicKey) -> PreparedState:
 
 def measure_image(state: PreparedState, rng: np.random.Generator) -> CollapsedState:
     """Born-rule measurement of the image register."""
+    prof = state.pub.profile
     yi = _draw(state.image_cdf, rng)
-    col = state.collapsed.get(yi)
-    if col is None:
-        prof = state.pub.profile
-        collapsed = state.amps[:, :, yi] / math.sqrt(state.probs[yi])
-        col = state.collapsed[yi] = CollapsedState(state.pub, _digits(yi, prof.q, prof.m), collapsed)
-    return col
+    collapsed = state.amps[:, :, yi] / math.sqrt(state.probs[yi])
+    y = np.array(np.unravel_index(yi, (prof.q,) * prof.m), dtype=np.int64)
+    return CollapsedState(state.pub, y, collapsed)
 
 
 def measure_preimage(col: CollapsedState, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Read out (b, x) from a collapsed state."""
     prof = col.pub.profile
-    b, xi = divmod(_draw(col.preimage_cdf, rng), prof.q**prof.n)
-    return b, _digits(xi, prof.q, prof.n)
+    i = _draw(_cdf((col.amps**2).reshape(-1)), rng)
+    b, *x = np.unravel_index(i, (2,) + (prof.q,) * prof.n)
+    return int(b), np.array(x, dtype=np.int64)
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
@@ -152,8 +113,17 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 
 def measure_equation(col: CollapsedState, rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Encode (b, x) into bits, Hadamard all w+1 of them, measure (u, d)."""
-    w = col.pub.profile.w
-    t = _draw(col.equation_cdf, rng)
+    prof = col.pub.profile
+    q, n, w = prof.q, prof.n, prof.w
+    if 2 ** (w + 1) > MAX_GRID:
+        raise SizeGuardError(f"bit register 2^{w + 1} exceeds {MAX_GRID}")
+    # bit_encode puts coordinate i at bits [i*k, (i+1)*k), so the register
+    # index of x is sum_i x_i * 2^(i*k)
+    jint = residue_grid(q, n) @ (1 << (col.pub.ring.coord_bits * np.arange(n, dtype=np.int64)))
+    psi = np.zeros(2 ** (w + 1))
+    psi[(np.arange(2)[:, None] << w) | jint] = col.amps
+    out = _fwht(psi) / math.sqrt(psi.size)
+    t = _draw(_cdf(out**2), rng)
     u, dint = t >> w, t & ((1 << w) - 1)
     d = (dint >> np.arange(w, dtype=np.int64)) & 1
     return u, d.astype(np.int64)

@@ -331,7 +331,8 @@ def image_table(ring: ModRing, A: np.ndarray, images: np.ndarray) -> ImageTable:
     """The ImageTable of A, from its image grid images = residue_grid(q, n)
     @ A.T (unreduced).  The search covers q^(n+m) pairs (s, y); a shape
     past the state-space guard 2*q^(n+m) <= MAX_GRID that qsim also keeps
-    raises SizeGuardError before anything is allocated."""
+    raises SizeGuardError before the table's arrays are allocated.  The
+    image grid itself is bounded by residue_grid's guard on q^n."""
     q = ring.q
     m, n = A.shape
     if 2 * q ** (n + m) > MAX_GRID:

@@ -531,6 +531,11 @@ def _tamper_trapdoor(obj, key):
     obj["trapdoor"] = keypair_to_json(other)["trapdoor"]
 
 
+def _tamper_no_trapdoor(obj, key):
+    # a gadget-shape key cannot fall back to the micro search
+    obj["trapdoor"] = None
+
+
 def _tamper_q(obj, key):
     # a modulus over the cap is refused before anything else is read
     for part in ("A", "u"):
@@ -579,6 +584,7 @@ def _tamper_mbar(obj, key):
         (_tamper_e, ValueError, "B_V"),
         (_tamper_u, ValueError, "A\\*s \\+ e"),
         (_tamper_trapdoor, ValueError, "different A"),
+        (_tamper_no_trapdoor, ValueError, "needs its trapdoor"),
         (_tamper_q, ValueError, "modulus must be in"),
         # a value that is not exactly an integer is refused, never truncated
         (_tamper_s_fraction, ValueError, "not integers"),
@@ -592,7 +598,7 @@ def _tamper_mbar(obj, key):
         (_tamper_mbar, ValueError, "1 <= mbar < m"),
     ],
     ids=[
-        "s", "e", "u", "trapdoor", "q", "s-fraction", "A-fraction", "q-fraction", "R-fraction", "wide-int",
+        "s", "e", "u", "trapdoor", "no-trapdoor", "q", "s-fraction", "A-fraction", "q-fraction", "R-fraction", "wide-int",
         "R-rows", "R-cols", "mbar",
     ],
 )

@@ -515,12 +515,24 @@ def test_decode_outcomes_do_not_depend_on_table_fill_order():
     assert kinds == {True, False}
 
 
-def test_exhaustive_invert_refuses_a_search_past_the_grid_limit():
-    # 5^9 ~ 1.95e6 candidates exceed MAX_GRID
-    ring = ModRing(5)
-    A = ring.uniform(np.random.default_rng(0), (2, 9))
-    with pytest.raises(SizeGuardError):
-        exhaustive_invert(_table(ring, A), np.zeros(2, dtype=np.int64), max_norm=1.0)
+def _micro_keypair(A):
+    # a key without a gadget, as gen makes at micro shapes: building it
+    # builds its image grid and image table from A
+    from clawrand.clawfree import KeyPair, PublicKey
+    from clawrand.profiles import get_profile
+
+    m, n = A.shape
+    return KeyPair(
+        PublicKey(get_profile("micro"), A, np.zeros(m, dtype=np.int64)),
+        None, np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64),
+    )
+
+
+def test_micro_key_refuses_an_exhaustive_search_past_the_grid_limit():
+    # 5^9 ~ 1.95e6 candidates s exceed MAX_GRID
+    A = ModRing(5).uniform(np.random.default_rng(0), (2, 9))
+    with pytest.raises(SizeGuardError, match=r"enumeration of Z_q\^n"):
+        _micro_keypair(A)
 
 
 def test_image_table_refuses_a_shape_past_the_state_guard():
@@ -530,3 +542,5 @@ def test_image_table_refuses_a_shape_past_the_state_guard():
     A = ring.uniform(np.random.default_rng(0), (9, 1))
     with pytest.raises(SizeGuardError, match="image table"):
         _table(ring, A)
+    with pytest.raises(SizeGuardError, match="image table"):
+        _micro_keypair(A)
