@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from clawrand.devices import honest_qubit_device
+from clawrand.gaussians import TruncGaussian
 from clawrand.profiles import get_profile
 from clawrand.protocol import (
     BornDeviceProver,
@@ -61,6 +62,24 @@ class FlakyProver(CommittedPreimageProver):
     def answer(self, c, t=None):
         self.answers += 1
         return ("pre",) if self.answers % 4 == 0 else super().answer(c, t)
+
+
+class WideNoiseProver(CommittedPreimageProver):
+    """The committed prover with its images' noise drawn at a width above
+    the profile's B_P, so that generation rounds reach the primary decode,
+    fallback repairs and decode failures.  It still answers every preimage
+    challenge with the x it committed to."""
+
+    def __init__(self, rng, width):
+        super().__init__(rng)
+        self.width = width
+
+    def next_sample(self):
+        pub = self.pub
+        ring = pub.ring
+        self._x = ring.uniform(self.rng, pub.profile.n)
+        e = TruncGaussian(ring, self.width).sample_vec(self.rng, pub.profile.m)
+        return ring.reduce(ring.matmul(pub.A, self._x) + e)
 
 
 class FlakyReporter:
@@ -120,6 +139,20 @@ PROTOCOL1 = {
         "0bede5cf1c1320cabd1740189641a405ff34de29e20f98de4ca76c29b6cfac74",
 }
 
+# at each profile's own p_test (0.05): a key epoch holds ~20 generation
+# rounds, so the verifier grades them in whole batches
+PROTOCOL1_OWN_P_TEST = {
+    ("desk-protocol", "ideal", 400):
+        "935a9a423262dd3e4595d6bf56513760cc2b32b3b934e7a1a788f8cd93292ac9",
+    # noise widths above B_P: of the generation rounds' images, 208 decode
+    # at the primary decode, 69 by a fallback repair and 10 not at all
+    ("desk-small", "wide-2.0", 300):
+        "38060ebab3e3e652b17e0e1bf310e164e9ce1fd10ae3235ac772e4116a68eed3",
+    # 98 primary decodes, 25 fallback repairs and 68 failures
+    ("desk-protocol", "wide-1.0", 200):
+        "8580c625e21de9328afb74ccb83c0f03568052978a2d4c2840ffd71e1465571b",
+}
+
 PROTOCOL2 = {
     "device-honest": "637f8e81f7589bdcda0e278a1cd6a77e94b6284a742cbb645c62cf933b162983",
     "device-constant": "46f8213ce9a51e9344c1c8933b26bc528f53b45d15932f485506fe5c42ba2de2",
@@ -158,11 +191,13 @@ def _make_prover(kind: str):
     rng = substream(SEED, "prover", kind)
     if kind == "flaky":
         return FlakyProver(rng)
+    if kind.startswith("wide-"):
+        return WideNoiseProver(rng, float(kind.removeprefix("wide-")))
     return prover_catalog()[kind](rng)
 
 
-def protocol1_digest(profile: str, kind: str, rounds: int) -> str:
-    prof = get_profile(profile, p_test=P_TEST)
+def protocol1_digest(profile: str, kind: str, rounds: int, p_test: float | None = P_TEST) -> str:
+    prof = get_profile(profile) if p_test is None else get_profile(profile, p_test=p_test)
     tr = run_protocol1(prof, _make_prover(kind), substream(SEED, "verifier", "protocol1"), rounds)
     return _transcript_digest(tr)
 
@@ -196,6 +231,12 @@ def single_round_digest(profile: str, kind: str, trials: int) -> str:
 def test_protocol1_transcript_digest(case):
     profile, kind, rounds = case
     assert protocol1_digest(profile, kind, rounds) == PROTOCOL1[case]
+
+
+@pytest.mark.parametrize("case", sorted(PROTOCOL1_OWN_P_TEST), ids=lambda c: "-".join(map(str, c)))
+def test_protocol1_transcript_digest_at_own_p_test(case):
+    profile, kind, rounds = case
+    assert protocol1_digest(profile, kind, rounds, p_test=None) == PROTOCOL1_OWN_P_TEST[case]
 
 
 @pytest.mark.parametrize("kind", sorted(PROTOCOL2))
