@@ -113,12 +113,14 @@ def _sample_noise_bound(profile: ParameterProfile) -> float:
     return (profile.B_P + profile.B_V) * math.sqrt(profile.m)
 
 
-def invert_sample(key: KeyPair, y) -> tuple[np.ndarray, np.ndarray]:
-    """Decode y = A*s0 + e0 into (s0, e0) within the branch-support bound."""
+def invert_sample(key: KeyPair, y, *, rows: bool = False):
+    """Decode y = A*s0 + e0 into (s0, e0) within the branch-support bound;
+    with rows=True, a stack of images into row-wise (S0, E0, ok), as
+    trapdoor.invert gives it."""
     bound = _sample_noise_bound(key.profile)
     if key.gadget is not None:
-        return invert(key.gadget, y, max_norm=bound)
-    return exhaustive_invert(key.table, y, max_norm=bound)
+        return invert(key.gadget, y, max_norm=bound, rows=rows)
+    return exhaustive_invert(key.table, y, max_norm=bound, rows=rows)
 
 
 def _image_grid(ring: ModRing, A: np.ndarray) -> np.ndarray:
@@ -191,14 +193,17 @@ def sample_branch(pub: PublicKey, b: int, rng: np.random.Generator) -> tuple[np.
     return x, ring.reduce(ring.matmul(pub.A, x) + b * pub.u + e0)
 
 
-def chk(pub: PublicKey, b: int, x, y) -> int:
+def chk(pub: PublicKey, b, x, y):
     """Public support check: 1 iff the centered norm of y - A*x - b*u is
-    within B_P * sqrt(m)."""
-    if b not in (0, 1):
+    within B_P * sqrt(m).  Given a vector of bits b and stacks x and y,
+    one a row, it checks every row at once and gives an int array."""
+    b = np.asarray(b)
+    if np.any((b != 0) & (b != 1)):
         raise ValueError("branch bit must be 0 or 1")
     ring = pub.ring
-    resid = np.asarray(y) - ring.matmul(pub.A, x) - b * np.asarray(pub.u)
-    return int(ring.norm(resid) <= pub.profile.B_P * math.sqrt(pub.profile.m))
+    resid = np.asarray(y) - ring.matmul(x, pub.A.T) - b[..., None] * pub.u
+    passed = ring.norm(resid) <= pub.profile.B_P * math.sqrt(pub.profile.m)
+    return passed.astype(int) if isinstance(passed, np.ndarray) else int(passed)
 
 
 def inv(key: KeyPair, b: int, y) -> np.ndarray:
@@ -220,8 +225,12 @@ def claw_through(key: KeyPair, b: int, x) -> tuple[np.ndarray, np.ndarray]:
     return x0, claw_partner(key, 0, x0)
 
 
-def claw_from_image(key: KeyPair, y) -> tuple[np.ndarray, np.ndarray]:
-    """(x0, x1) for an image y, via one trapdoor decode."""
+def claw_from_image(key: KeyPair, y, *, rows: bool = False):
+    """(x0, x1) for an image y, via one trapdoor decode; with rows=True, a
+    stack of images gives row-wise (X0, X1, ok), as invert_sample's."""
+    if rows:
+        s0, _, ok = invert_sample(key, y, rows=True)
+        return s0, key.ring.reduce(s0 - key.s_bits), ok
     s0, _ = invert_sample(key, y)
     return s0, key.ring.reduce(s0 - key.s_bits)
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +71,13 @@ class ModRing:
     def abs(self, a) -> np.ndarray:
         return np.abs(self.centered(a))
 
-    def norm(self, v) -> float:
-        """Euclidean norm of the centered representatives of a vector v;
-        exact, since every partial sum of squares is an integer < 2^53."""
-        c = self.centered(v).astype(float)
-        return math.sqrt(c @ c)
+    def norm(self, v):
+        """Euclidean norm of the centered representatives of a vector v, or
+        an array of the norms of each row of a stack v: the square root of
+        the exact integer sum of squares, which stays below 2^53."""
+        c = self.centered(v)
+        norms = np.sqrt((c * c).sum(axis=-1).astype(float))
+        return float(norms) if norms.ndim == 0 else norms
 
     def uniform(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)

@@ -13,6 +13,17 @@ round is scored, against the threshold (1 - gamma) * p_test * N.  The
 single-round test grades one round with a fresh key by the same round
 rule.
 
+When rounds are graded: test rounds and single-round trials as they are
+played.  A generation round's sample and answer are checked as they
+arrive, but its grade waits in a queue of at most 16 rounds, graded as one
+batch under the epoch's key (one decode of the stacked images, one support
+check of the stacked answers) when the queue is full, just before the
+epoch's test round is played, and at the end of the run.  Records are
+appended in round order as each batch is graded.  No output depends on
+this: a preimage grade draws nothing from the verifier's stream, and no
+grade reaches the prover before the final message (a round's decision
+carries only the refresh flag).
+
 Protocol 2 (simplified): no keys and no images; the prover reports its
 own pass bit e (plus a subspace bit k when probed with T = 1) on
 challenge 0 and a label v in {0,1,2} on challenge 1.  Only T = 1 test
@@ -230,9 +241,9 @@ def _ask(call, *args):
         raise MalformedAnswer(f"prover raised {type(exc).__name__}: {exc}") from exc
 
 
-def _request_sample(key: KeyPair, prover):
-    """Ask for the round's one image and invert it.  Returns (y, claw) with
-    claw = (x0, x1), or None when y does not invert."""
+def _sample(key: KeyPair, prover) -> np.ndarray:
+    """Ask for the round's one image and check it: integer entries, shape
+    (m,) and entries in [0, q)."""
     sample = _ask(prover.next_sample)
     try:
         # copied: exact_int64 hands back an int64 array itself, and the
@@ -244,10 +255,7 @@ def _request_sample(key: KeyPair, prover):
         raise MalformedAnswer(f"sample shape {y.shape}")
     if y.min() < 0 or y.max() >= key.profile.q:
         raise MalformedAnswer("sample entries outside [0, q)")
-    try:
-        return y, claw_from_image(key, y)
-    except DecodeFailure:
-        return y, None
+    return y
 
 
 class SessionAbort(Exception):
@@ -303,29 +311,78 @@ class RoundOutcome(NamedTuple):
     w: int
 
 
-def _play_round(key: KeyPair, prover, rng: np.random.Generator, c: int) -> RoundOutcome:
-    """One round of protocol 1's rule once the challenge c is drawn (c
-    stays on the verifier until the image is in).
-
-    The prover commits one image per round.  A malformed sample scores 0
-    before any answer is asked for (malformed_sample); a malformed answer
-    scores 0 (malformed_answer), and so does any answer to an image that
-    does not invert (inv_fail).  A preimage answer is credited by the
-    public support check (chk); an equation answer by the claw parity when
-    d is in both good sets (parity), and by a fair coin when it is not
-    (coin)."""
+def _take(key: KeyPair, prover, c: int):
+    """The intake of one round of protocol 1 once the challenge c is drawn
+    (c stays on the verifier until the image is in): the sample, then the
+    answer to c.  Returns (y, answer), or the RoundOutcome of a malformed
+    sample (malformed_sample; no answer is asked for) or of a malformed
+    answer (malformed_answer), each of which scores 0."""
     try:
-        y, claw = _request_sample(key, prover)
+        y = _sample(key, prover)
     except MalformedAnswer as exc:
         return RoundOutcome("malformed_sample", None, {"malformed": str(exc)}, 0)
     try:
-        answer = _validated_answer(key, prover, c)
+        return y, _validated_answer(key, prover, c)
     except MalformedAnswer as exc:
         return RoundOutcome("malformed_answer", y, {"malformed": str(exc)}, 0)
+
+
+def _grade_preimages(key: KeyPair, taken: list, decoded: np.ndarray) -> list[RoundOutcome]:
+    """Protocol 1's rule for preimage answers, over the rounds taken (their
+    (y, answer) pairs) with decoded[i] telling whether round i's image
+    inverts: a round whose image does not invert scores 0 (inv_fail), and
+    the others are credited by one public support check over their
+    stacked answers (chk)."""
+    w = np.zeros(len(taken), dtype=np.int64)
+    if decoded.any():
+        live = [t for t, ok in zip(taken, decoded) if ok]
+        w[decoded] = chk(
+            key.public,
+            np.array([a["b"] for _, a in live]),
+            np.stack([a["x"] for _, a in live]),
+            np.stack([y for y, _ in live]),
+        )
+    return [
+        RoundOutcome("chk" if ok else "inv_fail", y, a, int(wi))
+        for (y, a), ok, wi in zip(taken, decoded, w)
+    ]
+
+
+def _grade_generation(key: KeyPair, taken: list) -> list[RoundOutcome]:
+    """Generation rounds, their (y, answer) pairs, graded as one batch
+    under key: one decode of their stacked images, then _grade_preimages.
+    Each row's outcome is the one _play_round gives that round alone."""
+    _, _, decoded = claw_from_image(key, np.stack([y for y, _ in taken]), rows=True)
+    return _grade_preimages(key, taken, decoded)
+
+
+def _play_round(key: KeyPair, prover, rng: np.random.Generator, c: int) -> RoundOutcome:
+    """One round of protocol 1's rule, graded at once.
+
+    The prover commits one image per round.  After the intake (_take), any
+    answer to an image that does not invert scores 0 (inv_fail).  A
+    preimage answer is credited by the public support check (chk); an
+    equation answer by the claw parity when d is in both good sets
+    (parity), and by a fair coin when it is not (coin).  Only the coin
+    draws from rng.
+
+    Test rounds and single-round trials are graded here, as they are
+    played, so the coin keeps its place in the stream.  run_protocol1
+    grades generation rounds (challenge 1) later, in batches, through
+    _grade_generation and the same preimage rule; see the module
+    docstring for when and why that changes no output."""
+    taken = _take(key, prover, c)
+    if isinstance(taken, RoundOutcome):
+        return taken
+    y, answer = taken
+    try:
+        claw = claw_from_image(key, y)
+    except DecodeFailure:
+        claw = None
+    if c == 1:
+        return _grade_preimages(key, [taken], np.array([claw is not None]))[0]
     if claw is None:
         return RoundOutcome("inv_fail", y, answer, 0)
-    if c == 1:
-        return RoundOutcome("chk", y, answer, chk(key.public, answer["b"], answer["x"], y))
     x0, x1 = claw
     ring = key.ring
     d = answer["d"]
@@ -369,6 +426,14 @@ def _record(i: int, is_test: bool, c: int, t: int | None, epoch: int, out: Round
     return RoundRecord(i, "test" if is_test else "gen", c, t, epoch, out.y, out.answer, out.w, o)
 
 
+# The most generation rounds that wait to be graded.  A key epoch's length
+# is geometric with mean 1/p_test, and its queued rounds are graded in one
+# batch on the round that fills the queue or before its test round, so the
+# cap bounds the grading work that lands on any one round, and what a key
+# holds: the key and at most this many rounds.
+_BATCH = 16
+
+
 def run_protocol1(
     profile: ParameterProfile,
     prover,
@@ -386,6 +451,21 @@ def run_protocol1(
         _give_key(prover, key)
         return key
 
+    # the generation rounds played since the last grading, in round order:
+    # (index, (y, answer)) awaiting the batch, or (index, RoundOutcome) of
+    # a malformed one, which the intake has already scored
+    queue: list[tuple[int, object]] = []
+
+    def grade_queue():
+        """Grade the queued rounds as one batch under the current key, one
+        decode of their stacked images, then record them in round order."""
+        pending = [t for _, t in queue if not isinstance(t, RoundOutcome)]
+        graded = iter(_grade_generation(key, pending) if pending else ())
+        for i, t in queue:
+            out = t if isinstance(t, RoundOutcome) else next(graded)
+            tr.records.append(_record(i, False, 1, None, len(tr.epochs) - 1, out))
+        queue.clear()
+
     key = issue_key()
     for i in range(N):
         is_test = bool(rng.random() < profile.p_test)
@@ -393,18 +473,22 @@ def run_protocol1(
         if is_test:
             c = int(rng.integers(0, 2))
             budget.draw(1.0)
+            grade_queue()
+            out = _play_round(key, prover, rng, c)
+            if out.exit == "coin":
+                budget.draw(1.0)
+            tr.records.append(_record(i, True, c, None, len(tr.epochs) - 1, out))
         else:
-            c = 1
-        out = _play_round(key, prover, rng, c)
-        if out.exit == "coin":
-            budget.draw(1.0)
-        tr.records.append(_record(i, is_test, c, None, len(tr.epochs) - 1, out))
+            queue.append((i, _take(key, prover, 1)))
+            if len(queue) == _BATCH:
+                grade_queue()
         # transport adapters flush round framing here; local provers have no hook
         end_round = getattr(prover, "end_round", None)
         if end_round is not None:
             end_round(i, refresh=is_test)
         if is_test:
             key = issue_key()
+    grade_queue()
 
     tests = [r for r in tr.records if r.round_type == "test"]
     _decide(tr, tests, _threshold1(profile, N), budget, "no test rounds occurred; rejecting degenerate run")

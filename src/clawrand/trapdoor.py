@@ -37,7 +37,6 @@ and exhaustive_invert looks the image up.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,28 +212,54 @@ def _block_rows(ring: ModRing, data: dict, r: np.ndarray) -> np.ndarray:
     return rows
 
 
-def invert(key: TrapdoorKey, y, max_norm: float):
+def invert(key: TrapdoorKey, y, max_norm: float, *, rows: bool = False):
     """Recover (s, e) with y = A*s + e exactly and the centered norm of e
     within max_norm; a decode whose residual violates the bound raises
     DecodeFailure after the fallback search is exhausted.
+
+    With rows=True, y is a stack of images, one a row, decoded at once:
+    one primary decode over every block of every row, then the fallback
+    search for the rows over the bound only.  It returns (S, E, ok), row i
+    decoded when ok[i], and raises no DecodeFailure.  One image is the
+    one-row case.
     """
     ring = key.ring
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape != (key.m,):
-        raise ValueError(f"sample must have shape ({key.m},)")
+    Y = _stack(y, key.m, rows)
     data = _decode_data(ring)
-    r = ring.reduce(key.R @ y[: key.mbar] + y[key.mbar :])
-    rows = _block_rows(ring, data, r)
-    s = rows[:, 0].astype(np.int64)
-    e = ring.centered(y - ring.matmul(key.A, s))
-    if math.sqrt(float((e * e).sum())) <= max_norm:
-        return s, e
-    ranked = rows[:, 1:] if "table" in data else _rank_codewords(ring, data, ring.centered(r))
-    s = _fallback_search(key, data, ranked, e, s, max_norm)
-    if s is None:
-        raise DecodeFailure("no candidate within the noise bound")
-    e = ring.centered(y - ring.matmul(key.A, s))
-    return s, e
+    r = ring.reduce(Y[:, : key.mbar] @ key.R.T + Y[:, key.mbar :])
+    blocks = _block_rows(ring, data, r).reshape(len(Y), key.n, -1)
+    S = blocks[:, :, 0].astype(np.int64)
+    E = ring.centered(Y - ring.matmul(S, key.A.T))
+    ok = _within((E * E).sum(axis=1), max_norm)
+    for i in np.flatnonzero(~ok):
+        ranked = blocks[i, :, 1:] if "table" in data else _rank_codewords(ring, data, ring.centered(r[i]))
+        s = _fallback_search(key, data, ranked, E[i], S[i], max_norm)
+        if s is not None:
+            S[i], E[i], ok[i] = s, ring.centered(Y[i] - ring.matmul(key.A, s)), True
+    return _decoded(S, E, np.where(ok, 0, 1), rows)
+
+
+# why a row of a decode failed, by its code; code 0 is a decoded row
+_FAILURES = {1: "no candidate within the noise bound", 2: "ambiguous decode: tied minimal residuals"}
+
+
+def _stack(y, m: int, rows: bool) -> np.ndarray:
+    """y as an int64 stack of images of length m, one a row: y itself
+    with rows, else y as the one row, which must have shape (m,)."""
+    Y = np.asarray(y, dtype=np.int64)
+    if Y.ndim != 1 + rows or Y.shape[-1] != m:
+        raise ValueError(f"images must have shape (k, {m})" if rows else f"sample must have shape ({m},)")
+    return Y if rows else Y[None]
+
+
+def _decoded(S: np.ndarray, E: np.ndarray, failure: np.ndarray, rows: bool):
+    """A decode's result from its rows and their failure codes: (S, E, ok)
+    with rows, else the one row's (s, e), or its DecodeFailure."""
+    if rows:
+        return S, E, failure == 0
+    if failure[0]:
+        raise DecodeFailure(_FAILURES[int(failure[0])])
+    return S[0], E[0]
 
 
 def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
@@ -356,32 +381,25 @@ def image_table(ring: ModRing, A: np.ndarray, images: np.ndarray) -> ImageTable:
     )
 
 
-def exhaustive_invert(table: ImageTable, y, max_norm: float):
+def exhaustive_invert(table: ImageTable, y, max_norm: float, *, rows: bool = False):
     """Trapdoor-free inversion at micro shapes, by one lookup in the key's
     ImageTable.
 
     Returns (s, e) for the s whose residual e = y - A*s has the least
     centered norm, even where other s are also within max_norm.  Fails if
     that least norm exceeds max_norm, or if another s attains it.  y must
-    have shape (m,) and entries in [0, q).
+    have shape (m,) and entries in [0, q).  With rows=True, y is a stack of
+    images, one a row, looked up at once, and the result is row-wise, as
+    invert's.
     """
     q = table.ring.q
     m = table.e.shape[1]
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape != (m,):
-        raise ValueError(f"sample must have shape ({m},)")
-    # m is small: the range check and the row index run on Python ints
-    entries = y.tolist()
-    if min(entries) < 0 or max(entries) >= q:
+    Y = _stack(y, m, rows)
+    if Y.min() < 0 or Y.max() >= q:
         raise ValueError(f"sample entries must lie in [0, {q})")
-    i = 0
-    for v in entries:
-        i = i * q + v
-    if math.sqrt(table.norm2[i]) > max_norm:
-        raise DecodeFailure("no candidate within the noise bound")
-    if table.tied[i]:
-        raise DecodeFailure("ambiguous decode: tied minimal residuals")
-    return table.s[i].copy(), table.e[i].copy()
+    i = Y @ q ** np.arange(m - 1, -1, -1)
+    failure = np.where(~_within(table.norm2[i], max_norm), 1, np.where(table.tied[i], 2, 0))
+    return _decoded(table.s[i], table.e[i], failure, rows)
 
 
 def measure_decode_radius(

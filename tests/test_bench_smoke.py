@@ -1,11 +1,12 @@
 """Smoke tests of the benchmark harness: one short traced and one short
-untraced wire-micro run.
+untraced wire-micro run, and one short untraced honest-desk run.
 
 The traced run checks the result's schema and correctness gate, that the
 layers the tracer patches were reached, and the modq reduction count.  The
-untraced run is the one whose numbers are reported, and it probes its setup
-on its own, so its correctness gate is checked too.  Neither asserts
-timings."""
+untraced runs are the ones whose numbers are reported, and they probe their
+setup on their own, so their correctness gates are checked too.  The
+honest-desk gate recomputes each session's verdict and replays its keys to
+check the failed rounds.  None asserts timings."""
 
 import json
 import subprocess
@@ -15,9 +16,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _wire_micro_run(trace: int) -> dict:
+def _run(workload: str, trace: int) -> dict:
     r = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "wire-micro", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -29,11 +30,15 @@ def _wire_micro_run(trace: int) -> dict:
 
 
 def test_bench_wire_micro_untraced_run():
-    _wire_micro_run(trace=0)
+    _run("wire-micro", trace=0)
+
+
+def test_bench_honest_desk_untraced_run():
+    _run("honest-desk", trace=0)
 
 
 def test_bench_wire_micro_traced_run():
-    metrics = _wire_micro_run(trace=1)["metrics"]
+    metrics = _run("wire-micro", trace=1)["metrics"]
     # a renamed or bypassed traced function reads 0 here
     assert metrics["qsim.prepare.calls_per_op"]["value"] > 0
     assert metrics["trapdoor.exhaustive_invert.calls_per_op"]["value"] > 0

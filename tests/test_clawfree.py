@@ -113,6 +113,19 @@ def test_micro_chk_equals_support(micro_key):
                 assert chk(key.public, b, x, y) == int(density_public(key.public, b, x, y) > 0)
 
 
+def test_chk_over_rows_matches_each_row(micro_key):
+    # every (b, x, y) of the micro key in one row-wise check
+    key = micro_key
+    prof = key.profile
+    rows = [(b, x, y) for b in (0, 1) for x in all_points(prof.q, prof.n) for y in all_points(prof.q, prof.m)]
+    b, x, y = (np.array([r[i] for r in rows]) for i in range(3))
+    got = chk(key.public, b, x, y)
+    assert got.tolist() == [chk(key.public, *r) for r in rows]
+    assert set(got.tolist()) == {0, 1}
+    with pytest.raises(ValueError, match="branch bit"):
+        chk(key.public, np.array([0, 2]), x[:2], y[:2])
+
+
 def test_micro_inv_correct_on_support(micro_key):
     key = micro_key
     prof = key.profile

@@ -1,11 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from clawrand.clawfree import claw_equation_bit, claw_from_image, claw_through, gen, in_good_set, sample_branch
+from clawrand.clawfree import (
+    _sample_noise_bound,
+    claw_equation_bit,
+    claw_from_image,
+    claw_through,
+    gen,
+    in_good_set,
+    invert_sample,
+    sample_branch,
+)
 from clawrand.devices import branch_weight, honest_qubit_device, post_measurement
 from clawrand.extract import empirical_min_entropy
-from clawrand.modq import SizeGuardError
+from clawrand.gaussians import TruncGaussian
+from clawrand.modq import SizeGuardError, residue_grid
 from clawrand.profiles import get_profile
 from clawrand.protocol import (
     BornDeviceProver,
@@ -15,6 +27,8 @@ from clawrand.protocol import (
     ReplayProver,
     SessionAbort,
     Transcript,
+    _BATCH,
+    _grade_generation,
     _play_round,
     prover_catalog,
     protocol1_verdict,
@@ -25,7 +39,7 @@ from clawrand.protocol import (
 )
 from clawrand.qsim import IdealProver, SimulatedProver
 from clawrand.rngstream import substream
-from clawrand.trapdoor import DecodeFailure
+from clawrand.trapdoor import DecodeFailure, invert
 
 
 def test_threshold_arithmetic_protocol1():
@@ -423,6 +437,112 @@ def test_every_exit_of_a_protocol1_round(exit):
     if exit == "coin":
         assert out.w in (0, 1)
     assert ("malformed" in out.answer) == exit.startswith("malformed")
+
+
+def _generation_cases(name):
+    """A key of the profile and, for every outcome a generation round can
+    have under it, one (y, answer) that takes it: an honest image, x off
+    by one, the wrong b, and at gadget profiles an image that only a
+    fallback repair decodes and one that does not decode, or at micro
+    profiles an image whose nearest s is tied, where the key has one."""
+    prof = get_profile(name)
+    ring = prof.ring()
+    rng = substream(31, "batch", name)
+    bound = _sample_noise_bound(prof)
+    while True:
+        key = gen(prof, rng)
+        if key.gadget is not None:
+            break
+        table = key.table
+        tied = np.flatnonzero(table.tied & (np.sqrt(table.norm2.astype(float)) <= bound))
+        # micro's keys have no tied image (every image decodes there)
+        if tied.size or name == "micro":
+            break
+    x, y = sample_branch(key.public, 0, rng)
+    cases = {
+        "honest": (y, {"b": 0, "x": x}),
+        "x off by one": (y, {"b": 0, "x": ring.reduce(x + 1)}),
+        "wrong b": (y, {"b": 1, "x": x}),
+    }
+    if key.gadget is None:
+        if tied.size:
+            i = tied[0]
+            cases["tied"] = (residue_grid(prof.q, prof.m)[i], {"b": 0, "x": table.s[i]})
+        return key, cases
+    noise = TruncGaussian(ring, {"desk-small": 2.0, "desk-protocol": 1.0}[name])
+    while "fallback" not in cases or "failed" not in cases:
+        x = ring.uniform(rng, prof.n)
+        y = ring.reduce(ring.matmul(key.public.A, x) + noise.sample_vec(rng, prof.m))
+        try:
+            s, _ = invert_sample(key, y)
+        except DecodeFailure:
+            cases.setdefault("failed", (y, {"b": 0, "x": x}))
+            continue
+        if not np.array_equal(s, invert(key.gadget, y, max_norm=math.inf)[0]):
+            cases.setdefault("fallback", (y, {"b": 0, "x": x}))
+    return key, cases
+
+
+@pytest.mark.parametrize("size", [1, 15, _BATCH, 17])
+@pytest.mark.parametrize("name", ["desk-small", "desk-protocol", "micro", "micro-noisy"])
+def test_batch_grades_each_round_as_it_is_graded_alone(name, size):
+    # every row's exit and W from one batch are those _play_round gives the
+    # round alone; stacks of one hold each case in turn, longer stacks
+    # cycle through the cases in a shuffled order
+    key, cases = _generation_cases(name)
+    kinds = sorted(cases)
+    if size == 1:
+        stacks = [[kind] for kind in kinds]
+    else:
+        order = substream(32, "batch-order", name, size).permutation(size)
+        stacks = [[kinds[j % len(kinds)] for j in order]]
+    exits = set()
+    for stack in stacks:
+        taken = [cases[kind] for kind in stack]
+        outcomes = _grade_generation(key, taken)
+        assert len(outcomes) == len(taken)
+        for (y, answer), out in zip(taken, outcomes):
+            alone = _play_round(key, _Scripted(y, ("pre", answer["b"], answer["x"])), substream(33, "unused"), 1)
+            assert (out.exit, out.w) == (alone.exit, alone.w)
+            assert out.y is y and out.answer is answer
+            exits.add((out.exit, out.w))
+    assert {("chk", 0), ("chk", 1)} <= exits
+    # an image that does not invert: a decode failure, or a tied micro one
+    assert (("inv_fail", 0) in exits) == (name != "micro")
+
+
+def test_generation_batches_are_capped_keep_their_epoch_and_draw_nothing(monkeypatch):
+    # long epochs (p_test 0.02) fill whole batches; each batch is graded
+    # under the key of its own epoch, before that key is refreshed, and
+    # leaves the verifier's stream where it found it
+    from clawrand import protocol
+
+    rng = substream(34, "verifier")
+    keys, batches = [], []
+    gen_orig, grade_orig = protocol.gen, protocol._grade_generation
+
+    def recording_gen(*args):
+        keys.append(gen_orig(*args))
+        return keys[-1]
+
+    def recording_grade(key, taken):
+        state = rng.bit_generator.state
+        out = grade_orig(key, taken)
+        assert rng.bit_generator.state == state
+        batches.append((key, [y for y, _ in taken]))
+        return out
+
+    monkeypatch.setattr(protocol, "gen", recording_gen)
+    monkeypatch.setattr(protocol, "_grade_generation", recording_grade)
+    prof = get_profile("micro", p_test=0.02)
+    tr = run_protocol1(prof, CommittedPreimageProver(substream(34, "prover")), rng, n_rounds=300)
+    sizes = [len(ys) for _, ys in batches]
+    assert max(sizes) == _BATCH and sum(sizes) == sum(r.round_type == "gen" for r in tr.records)
+    gens = iter(r for r in tr.records if r.round_type == "gen")
+    for key, ys in batches:
+        recs = [next(gens) for _ in ys]
+        assert all(np.array_equal(r.y, y) for r, y in zip(recs, ys))
+        assert {keys[r.key_epoch] is key for r in recs} == {True}
 
 
 @pytest.mark.parametrize("p_test,rounds", [(0.1, 0), (0.0, 20)])

@@ -515,6 +515,62 @@ def test_decode_outcomes_do_not_depend_on_table_fill_order():
     assert kinds == {True, False}
 
 
+@pytest.mark.parametrize("name,width", [("desk-small", 2.0), ("desk-medium", 6.0), ("desk-protocol", 1.0)])
+def test_invert_rows_match_one_image_decodes(name, width):
+    # a stack of honest, wide-noise and uniform images decodes row by row
+    # to what invert gives each image alone; desk-medium has no block table
+    from clawrand.clawfree import _sample_noise_bound
+    from clawrand.profiles import get_profile
+
+    prof = get_profile(name)
+    ring = prof.ring()
+    rng = np.random.default_rng(15)
+    key = gen_trap(ring, prof.n, prof.m, rng)
+    bound = _sample_noise_bound(prof)
+    ys = [ring.uniform(rng, prof.m) for _ in range(4)]
+    for w in (prof.B_P, width):
+        noise = TruncGaussian(ring, w)
+        ys += [ring.reduce(ring.matmul(key.A, ring.uniform(rng, prof.n)) + noise.sample_vec(rng, prof.m))
+               for _ in range(20)]
+    S, E, ok = invert(key, np.stack(ys), max_norm=bound, rows=True)
+    for y, s, e, decoded in zip(ys, S, E, ok):
+        try:
+            want = invert(key, y, max_norm=bound)
+        except DecodeFailure:
+            assert not decoded
+            continue
+        assert decoded and np.array_equal(s, want[0]) and np.array_equal(e, want[1])
+    assert 0 < ok.sum() < len(ys)
+    with pytest.raises(ValueError, match=r"shape \(k, "):
+        invert(key, ys[0], max_norm=bound, rows=True)
+
+
+def test_exhaustive_invert_rows_match_one_image_lookups():
+    # every image of a micro-noisy key in one stack, at its bound: decoded
+    # rows, refusals over the bound and tied minima alike
+    from clawrand.clawfree import _sample_noise_bound, gen
+    from clawrand.profiles import get_profile
+    from clawrand.rngstream import substream
+
+    prof = get_profile("micro-noisy")
+    key = gen(prof, substream(24, "exhaustive-rows"))
+    ys = residue_grid(prof.q, prof.m)
+    failures = set()
+    for bound in (1.3, _sample_noise_bound(prof)):
+        S, E, ok = exhaustive_invert(key.table, ys, bound, rows=True)
+        for y, s, e, decoded in zip(ys, S, E, ok):
+            try:
+                want = exhaustive_invert(key.table, y, bound)
+            except DecodeFailure as exc:
+                assert not decoded
+                failures.add(str(exc))
+                continue
+            assert decoded and np.array_equal(s, want[0]) and np.array_equal(e, want[1])
+    assert len(failures) == 2
+    with pytest.raises(ValueError, match=r"\[0, 13\)"):
+        exhaustive_invert(key.table, np.vstack([ys[:2], [[0, 13]]]), 1.3, rows=True)
+
+
 def _micro_keypair(A):
     # a key without a gadget, as gen makes at micro shapes: building it
     # builds its image grid and image table from A
