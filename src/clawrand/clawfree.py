@@ -200,9 +200,9 @@ def chk(pub: PublicKey, b, x, y):
     b = np.asarray(b)
     if np.any((b != 0) & (b != 1)):
         raise ValueError("branch bit must be 0 or 1")
-    ring = pub.ring
-    resid = np.asarray(y) - ring.matmul(x, pub.A.T) - b[..., None] * pub.u
-    passed = ring.norm(resid) <= pub.profile.B_P * math.sqrt(pub.profile.m)
+    # the norm reduces the residual, so the product is not reduced before
+    resid = np.asarray(y) - np.asarray(x) @ pub.A.T - b[..., None] * pub.u
+    passed = pub.ring.norm(resid) <= pub.profile.B_P * math.sqrt(pub.profile.m)
     return passed.astype(int) if isinstance(passed, np.ndarray) else int(passed)
 
 

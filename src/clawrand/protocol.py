@@ -15,8 +15,8 @@ rule.
 
 When rounds are graded: test rounds and single-round trials as they are
 played.  A generation round's sample and answer are checked as they
-arrive, but its grade waits in a queue of at most 16 rounds, graded as one
-batch under the epoch's key (one decode of the stacked images, one support
+arrive, but its grade waits in a queue of at most _BATCH = 8 rounds,
+graded as one batch under the epoch's key (one decode of the stacked images, one support
 check of the stacked answers) when the queue is full, just before the
 epoch's test round is played, and at the end of the run.  Records are
 appended in round order as each batch is graded.  No output depends on
@@ -327,20 +327,20 @@ def _take(key: KeyPair, prover, c: int):
         return RoundOutcome("malformed_answer", y, {"malformed": str(exc)}, 0)
 
 
-def _grade_preimages(key: KeyPair, taken: list, decoded: np.ndarray) -> list[RoundOutcome]:
+def _grade_preimages(key: KeyPair, taken: list, Y: np.ndarray, decoded: np.ndarray) -> list[RoundOutcome]:
     """Protocol 1's rule for preimage answers, over the rounds taken (their
-    (y, answer) pairs) with decoded[i] telling whether round i's image
-    inverts: a round whose image does not invert scores 0 (inv_fail), and
-    the others are credited by one public support check over their
-    stacked answers (chk)."""
+    (y, answer) pairs, with their images stacked in Y) where decoded[i]
+    tells whether round i's image inverts: a round whose image does not
+    invert scores 0 (inv_fail), and the others are credited by one public
+    support check over their stacked answers (chk)."""
     w = np.zeros(len(taken), dtype=np.int64)
     if decoded.any():
-        live = [t for t, ok in zip(taken, decoded) if ok]
+        answers = [a for (_, a), ok in zip(taken, decoded) if ok]
         w[decoded] = chk(
             key.public,
-            np.array([a["b"] for _, a in live]),
-            np.stack([a["x"] for _, a in live]),
-            np.stack([y for y, _ in live]),
+            np.array([a["b"] for a in answers]),
+            np.stack([a["x"] for a in answers]),
+            Y[decoded],
         )
     return [
         RoundOutcome("chk" if ok else "inv_fail", y, a, int(wi))
@@ -352,8 +352,9 @@ def _grade_generation(key: KeyPair, taken: list) -> list[RoundOutcome]:
     """Generation rounds, their (y, answer) pairs, graded as one batch
     under key: one decode of their stacked images, then _grade_preimages.
     Each row's outcome is the one _play_round gives that round alone."""
-    _, _, decoded = claw_from_image(key, np.stack([y for y, _ in taken]), rows=True)
-    return _grade_preimages(key, taken, decoded)
+    Y = np.stack([y for y, _ in taken])
+    _, _, decoded = claw_from_image(key, Y, rows=True)
+    return _grade_preimages(key, taken, Y, decoded)
 
 
 def _play_round(key: KeyPair, prover, rng: np.random.Generator, c: int) -> RoundOutcome:
@@ -380,7 +381,7 @@ def _play_round(key: KeyPair, prover, rng: np.random.Generator, c: int) -> Round
     except DecodeFailure:
         claw = None
     if c == 1:
-        return _grade_preimages(key, [taken], np.array([claw is not None]))[0]
+        return _grade_preimages(key, [taken], y[None], np.array([claw is not None]))[0]
     if claw is None:
         return RoundOutcome("inv_fail", y, answer, 0)
     x0, x1 = claw
@@ -429,9 +430,12 @@ def _record(i: int, is_test: bool, c: int, t: int | None, epoch: int, out: Round
 # The most generation rounds that wait to be graded.  A key epoch's length
 # is geometric with mean 1/p_test, and its queued rounds are graded in one
 # batch on the round that fills the queue or before its test round, so the
-# cap bounds the grading work that lands on any one round, and what a key
-# holds: the key and at most this many rounds.
-_BATCH = 16
+# cap bounds the grading work that lands on any one round, and what is held
+# with a key: at most this many rounds.  A batch's int64 products grow with
+# its rows; at desk-protocol a cap of 16 or 32 put that work on enough test
+# rounds to raise the 99th-percentile round time by a fifth or more, while
+# 8 kept it within the run-to-run spread of grading each round at once.
+_BATCH = 8
 
 
 def run_protocol1(

@@ -229,7 +229,8 @@ def invert(key: TrapdoorKey, y, max_norm: float, *, rows: bool = False):
     r = ring.reduce(Y[:, : key.mbar] @ key.R.T + Y[:, key.mbar :])
     blocks = _block_rows(ring, data, r).reshape(len(Y), key.n, -1)
     S = blocks[:, :, 0].astype(np.int64)
-    E = ring.centered(Y - ring.matmul(S, key.A.T))
+    # centered reduces the product, so it is not reduced before
+    E = ring.centered(Y - S @ key.A.T)
     ok = _within((E * E).sum(axis=1), max_norm)
     for i in np.flatnonzero(~ok):
         ranked = blocks[i, :, 1:] if "table" in data else _rank_codewords(ring, data, ring.centered(r[i]))
