@@ -32,6 +32,8 @@ from .modq import (
     SizeGuardError,
     bit_encode,
     exact_int64,
+    exact_matmul,
+    float_operand,
     mat_from_json,
     mat_json_text,
     mat_to_json,
@@ -58,6 +60,13 @@ class PublicKey:
     profile: ParameterProfile
     A: np.ndarray  # (m, n)
     u: np.ndarray  # (m,)
+    # A^T as a float_operand copy, for exact_matmul: the trapdoor's own
+    # copy when gen makes the key, else made here
+    AT: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.AT is None:
+            object.__setattr__(self, "AT", float_operand(self.A.T))
 
     @cached_property
     def ring(self) -> ModRing:
@@ -143,7 +152,7 @@ def gen(profile: ParameterProfile, rng: np.random.Generator) -> KeyPair:
     for _ in range(_KEYGEN_RETRIES):
         if profile.uses_gadget:
             gadget = gen_trap(ring, profile.n, profile.m, rng)
-            A = gadget.A
+            A, AT = gadget.A, gadget.AT
             table = None
         else:
             gadget = None
@@ -155,10 +164,11 @@ def gen(profile: ParameterProfile, rng: np.random.Generator) -> KeyPair:
             if _min_claw_distance(ring, images) <= 2 * profile.B_P * math.sqrt(profile.m):
                 continue
             table = image_table(ring, A, images)
+            AT = float_operand(A.T)
         s_bits = rng.integers(0, 2, size=profile.n, dtype=np.int64)
         e = ring.centered(noise.sample_vec(rng, profile.m))
-        u = ring.reduce(ring.matmul(A, s_bits) + e)
-        key = KeyPair(PublicKey(profile, A, u), gadget, s_bits, e, table)
+        u = ring.reduce(ring.matmul(s_bits, AT) + e)
+        key = KeyPair(PublicKey(profile, A, u, AT), gadget, s_bits, e, table)
         try:
             s0, e0 = invert_sample(key, u)
         except DecodeFailure:
@@ -190,18 +200,20 @@ def sample_branch(pub: PublicKey, b: int, rng: np.random.Generator) -> tuple[np.
     ring = pub.ring
     x = ring.uniform(rng, pub.profile.n)
     e0 = pub.noise_dist().sample_vec(rng, pub.profile.m)
-    return x, ring.reduce(ring.matmul(pub.A, x) + b * pub.u + e0)
+    return x, ring.reduce(ring.matmul(x, pub.AT) + b * pub.u + e0)
 
 
 def chk(pub: PublicKey, b, x, y):
     """Public support check: 1 iff the centered norm of y - A*x - b*u is
     within B_P * sqrt(m).  Given a vector of bits b and stacks x and y,
-    one a row, it checks every row at once and gives an int array."""
+    one a row, it checks every row at once and gives an int array.  The
+    entries of x and y must lie in [0, q), as exact_matmul needs; the
+    protocol checks every image and answer at intake."""
     b = np.asarray(b)
     if np.any((b != 0) & (b != 1)):
         raise ValueError("branch bit must be 0 or 1")
     # the norm reduces the residual, so the product is not reduced before
-    resid = np.asarray(y) - np.asarray(x) @ pub.A.T - b[..., None] * pub.u
+    resid = np.asarray(y) - exact_matmul(x, pub.AT) - b[..., None] * pub.u
     passed = pub.ring.norm(resid) <= pub.profile.B_P * math.sqrt(pub.profile.m)
     return passed.astype(int) if isinstance(passed, np.ndarray) else int(passed)
 

@@ -32,8 +32,8 @@ import numpy as np
 
 # The largest modulus ModRing accepts, and the one statement of which
 # moduli run: the trapdoor decode enumerates all q codewords of a block,
-# and every dot product of residues stays far inside int64.  Profiles
-# above it are print-only.
+# and every product of residue matrices is exact in float64 (exact_matmul).
+# Profiles above it are print-only.
 MAX_Q = 4096
 
 
@@ -83,9 +83,28 @@ class ModRing:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
 
     def matmul(self, a, b) -> np.ndarray:
-        """a @ b mod q for a canonical and |b| < q: every partial sum is
-        below inner * q^2 <= inner * 2^24, exact in int64."""
-        return _mod(a @ b, self.q)
+        """a @ b mod q, by exact_matmul, whose precondition a and b meet."""
+        return _mod(exact_matmul(a, b), self.q)
+
+
+def exact_matmul(a, b) -> np.ndarray:
+    """a @ b, unreduced, as int64, computed in float64 so that numpy hands
+    it to BLAS (it has no BLAS path for int64).  a and b hold integers of
+    magnitude at most q - 1 for a modulus q <= MAX_Q (residues, or R's
+    ternary entries); either may be passed already as float64, as a key's
+    cached copies are.
+
+    The result is exact: every partial sum of every dot product, in
+    whatever order BLAS adds them, is an integer of magnitude at most
+    inner * (q - 1)^2 < 2^29 * 2^24 = 2^53 for an inner size below 2^29,
+    and float64 holds every such integer exactly."""
+    return (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
+
+
+def float_operand(a) -> np.ndarray:
+    """a as a C-contiguous float64 copy, which exact_matmul uses as it is:
+    the form in which a key keeps each matrix it multiplies by."""
+    return np.ascontiguousarray(a, dtype=np.float64)
 
 
 # numpy vectorises int64 floor division by a scalar but not int64 np.mod,

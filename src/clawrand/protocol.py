@@ -15,14 +15,14 @@ rule.
 
 When rounds are graded: test rounds and single-round trials as they are
 played.  A generation round's sample and answer are checked as they
-arrive, but its grade waits in a queue of at most _BATCH = 8 rounds,
-graded as one batch under the epoch's key (one decode of the stacked images, one support
-check of the stacked answers) when the queue is full, just before the
-epoch's test round is played, and at the end of the run.  Records are
-appended in round order as each batch is graded.  No output depends on
-this: a preimage grade draws nothing from the verifier's stream, and no
-grade reaches the prover before the final message (a round's decision
-carries only the refresh flag).
+arrive, but its grade waits in a queue of at most _BATCH = 16 rounds,
+graded as one batch under the epoch's key (one decode of the stacked
+images, one support check of the stacked answers) when the queue is full,
+just before the epoch's test round is played, and at the end of the run.
+Records are appended in round order as each batch is graded.  No output
+depends on this: a preimage grade draws nothing from the verifier's
+stream, and no grade reaches the prover before the final message (a
+round's decision carries only the refresh flag).
 
 Protocol 2 (simplified): no keys and no images; the prover reports its
 own pass bit e (plus a subspace bit k when probed with T = 1) on
@@ -431,11 +431,12 @@ def _record(i: int, is_test: bool, c: int, t: int | None, epoch: int, out: Round
 # is geometric with mean 1/p_test, and its queued rounds are graded in one
 # batch on the round that fills the queue or before its test round, so the
 # cap bounds the grading work that lands on any one round, and what is held
-# with a key: at most this many rounds.  A batch's int64 products grow with
-# its rows; at desk-protocol a cap of 16 or 32 put that work on enough test
-# rounds to raise the 99th-percentile round time by a fifth or more, while
-# 8 kept it within the run-to-run spread of grading each round at once.
-_BATCH = 8
+# with a key: at most this many rounds.  A batch's products run in float64
+# BLAS (exact_matmul), so its cost grows slowly with its rows: at
+# desk-protocol a batch of 16 grades in ~170 us, less than the ~180 us an
+# int64 batch of 8 took, and cuts the batches per 1000 rounds at
+# p_test = 0.05 from 141 to 85.  CAP_ROTATION_PLACEHOLDER
+_BATCH = 16
 
 
 def run_protocol1(

@@ -26,8 +26,15 @@ A block's nearest-plane value and ranked codewords depend only on its k
 residues.  Where q^k <= 2^16 (q <= 16) they are kept in a per-modulus
 block table, filled row by row the first time a block is met, so a
 decode gathers its n rows in one lookup.  The table is a cache of that
-computation, so every outcome is the one it gives.  A key holds no decode
-state: a fallback search builds its candidates' prefix rows from A.
+computation, so every outcome is the one it gives.
+
+A key holds no decode state but one: a float64 copy of each matrix a
+decode multiplies by, A^T and R^T, made once with the key.  numpy has no
+BLAS path for int64, so the decode's two products run in float64 through
+modq.exact_matmul, which is exact for residues; converting the operands
+on every call would make a one-image decode slower than int64, and one
+copy a key does not.  A fallback search builds its candidates' prefix
+rows from A itself.
 
 Micro shapes (m < w + n) have no gadget and are inverted by a full search
 over s in Z_q^n.  Its answer depends only on A and the image, so
@@ -37,7 +44,7 @@ and exhaustive_invert looks the image up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,6 +54,8 @@ from .modq import (
     ModRing,
     SizeGuardError,
     exact_int,
+    exact_matmul,
+    float_operand,
     gadget_matrix,
     int_mat_from_json,
     mat_from_json,
@@ -74,6 +83,14 @@ class TrapdoorKey:
     A: np.ndarray  # (m, n) residues
     R: np.ndarray  # (w, m - w) entries in {-1, 0, 1}
     mbar: int
+    # A^T and R^T as float_operand copies, made with the key unless given
+    AT: np.ndarray = field(default=None, repr=False, compare=False)
+    RT: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, M in (("AT", self.A), ("RT", self.R)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, float_operand(M.T))
 
     @property
     def m(self) -> int:
@@ -111,12 +128,9 @@ def gen_trap(ring: ModRing, n: int, m: int, rng: np.random.Generator) -> Trapdoo
     mbar = m - w
     Abar = ring.uniform(rng, (mbar, n))
     R = rng.integers(-1, 2, size=(w, mbar), dtype=np.int64)
-    # R @ Abar through float64 BLAS (numpy's int64 matmul has none): every
-    # partial sum is an integer of size at most mbar*(q - 1) < 2^53, so the
-    # float product is exact
-    RA = (R.astype(np.float64) @ Abar.astype(np.float64)).astype(np.int64)
-    A = np.vstack([Abar, ring.reduce(gadget_matrix(ring, n) - RA)])
-    return TrapdoorKey(ring=ring, A=A, R=R, mbar=mbar)
+    RT = float_operand(R.T)
+    A = np.vstack([Abar, ring.reduce(gadget_matrix(ring, n) - exact_matmul(RT.T, Abar))])
+    return TrapdoorKey(ring=ring, A=A, R=R, mbar=mbar, RT=RT)
 
 
 # -- gadget-lattice decode structures, cached per modulus ------------------
@@ -222,21 +236,24 @@ def invert(key: TrapdoorKey, y, max_norm: float, *, rows: bool = False):
     search for the rows over the bound only.  It returns (S, E, ok), row i
     decoded when ok[i], and raises no DecodeFailure.  One image is the
     one-row case.
+
+    y's entries must lie in [0, q), as exact_matmul needs; the protocol
+    checks every image at intake.
     """
     ring = key.ring
     Y = _stack(y, key.m, rows)
     data = _decode_data(ring)
-    r = ring.reduce(Y[:, : key.mbar] @ key.R.T + Y[:, key.mbar :])
+    r = ring.reduce(exact_matmul(Y[:, : key.mbar], key.RT) + Y[:, key.mbar :])
     blocks = _block_rows(ring, data, r).reshape(len(Y), key.n, -1)
     S = blocks[:, :, 0].astype(np.int64)
     # centered reduces the product, so it is not reduced before
-    E = ring.centered(Y - S @ key.A.T)
+    E = ring.centered(Y - exact_matmul(S, key.AT))
     ok = _within((E * E).sum(axis=1), max_norm)
     for i in np.flatnonzero(~ok):
         ranked = blocks[i, :, 1:] if "table" in data else _rank_codewords(ring, data, ring.centered(r[i]))
         s = _fallback_search(key, data, ranked, E[i], S[i], max_norm)
         if s is not None:
-            S[i], E[i], ok[i] = s, ring.centered(Y[i] - ring.matmul(key.A, s)), True
+            S[i], E[i], ok[i] = s, ring.centered(Y[i] - exact_matmul(s, key.AT)), True
     return _decoded(S, E, np.where(ok, 0, 1), rows)
 
 

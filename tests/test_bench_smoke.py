@@ -1,5 +1,5 @@
 """Smoke tests of the benchmark harness: one short traced and one short
-untraced wire-micro run, and one short untraced honest-desk run.
+untraced wire-micro run, and one short untraced run of each desk workload.
 
 The traced run checks the result's schema and correctness gate, that the
 layers the tracer patches were reached, and the modq reduction count.  The
@@ -35,6 +35,12 @@ def test_bench_wire_micro_untraced_run():
 
 def test_bench_honest_desk_untraced_run():
     _run("honest-desk", trace=0)
+
+
+def test_bench_garbage_desk_untraced_run():
+    # the one workload that makes a fresh key, and so fresh float64 copies
+    # of its matrices, on every trial
+    _run("garbage-desk", trace=0)
 
 
 def test_bench_wire_micro_traced_run():

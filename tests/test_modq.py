@@ -13,6 +13,7 @@ from clawrand.modq import (
     SizeGuardError,
     bit_encode,
     canonical_json,
+    exact_matmul,
     gadget_matrix,
     mat_from_json,
     mat_to_json,
@@ -127,6 +128,66 @@ def test_matmul_matches_bigint_oracle(q, seed):
             ]
         )
         assert np.array_equal(got, want)
+
+
+def _object_product(a, b) -> np.ndarray:
+    # the product in Python ints, which never round or wrap
+    return np.asarray(a).astype(object) @ np.asarray(b).astype(object)
+
+
+def _assert_exact(a, b):
+    want = _object_product(a, b)
+    # b as int64, and as the float64 copy a key caches
+    for rhs in (b, np.ascontiguousarray(b, dtype=np.float64)):
+        got = exact_matmul(a, rhs)
+        assert got.dtype == np.int64 and np.array_equal(got.astype(object), want)
+
+
+def test_exact_matmul_at_max_q_with_every_entry_q_minus_1():
+    # each entry of the product is inner * (q - 1)^2, and with signs mixed
+    # the partial sums swing both ways
+    top = MAX_Q - 1
+    for inner in (1, 32, 4096):
+        a = np.full((3, inner), top, dtype=np.int64)
+        assert np.array_equal(exact_matmul(a, a.T), np.full((3, 3), inner * top * top))
+        signs = np.where(np.arange(inner) % 3 == 0, -1, 1)
+        _assert_exact(a * signs, np.full((inner, 2), top, dtype=np.int64))
+
+
+@pytest.mark.parametrize("name", ["desk-small", "desk-medium", "desk-protocol"])
+def test_exact_matmul_at_each_gadget_profiles_shapes(name):
+    # the verifier's per-round products at their real shapes, for stacks up
+    # to two batches: Y[:, :mbar] R^T with R all -1 or all +1, and S A^T
+    # (X A^T, A x), with every residue q - 1
+    from clawrand.profiles import get_profile
+    from clawrand.protocol import _BATCH
+
+    prof = get_profile(name)
+    assert prof.runnable and prof.uses_gadget
+    top = prof.q - 1
+    mbar = prof.m - prof.w
+    for k in range(1, 2 * _BATCH + 1):
+        for sign in (-1, 1):
+            _assert_exact(np.full((k, mbar), top), np.full((mbar, prof.w), sign))
+        _assert_exact(np.full((k, prof.n), top), np.full((prof.n, prof.m), top))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(2, MAX_Q),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 40), st.integers(0, 300), st.integers(1, 40)),
+)
+def test_exact_matmul_equals_the_integer_product(q, seed, shape):
+    rng = np.random.default_rng(seed)
+    k, inner, cols = shape
+    # entries of magnitude at most q - 1, half of them pinned to +-(q - 1)
+    a = rng.integers(-(q - 1), q, size=(k, inner))
+    b = rng.integers(-(q - 1), q, size=(inner, cols))
+    a[:, ::2] = (q - 1) * rng.choice([-1, 1], size=a[:, ::2].shape)
+    b[::2] = (q - 1) * rng.choice([-1, 1], size=b[::2].shape)
+    _assert_exact(a, b)
+    assert np.array_equal(ModRing(q).matmul(a, b), np.mod(exact_matmul(a, b), q))
 
 
 def test_matrix_json_roundtrip():

@@ -483,7 +483,7 @@ def _generation_cases(name):
     return key, cases
 
 
-@pytest.mark.parametrize("size", [1, _BATCH, 15, 16, 17])
+@pytest.mark.parametrize("size", [1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
 @pytest.mark.parametrize("name", ["desk-small", "desk-protocol", "micro", "micro-noisy"])
 def test_batch_grades_each_round_as_it_is_graded_alone(name, size):
     # every row's exit and W from one batch are those _play_round gives the
