@@ -200,7 +200,8 @@ def sample_branch(pub: PublicKey, b: int, rng: np.random.Generator) -> tuple[np.
     ring = pub.ring
     x = ring.uniform(rng, pub.profile.n)
     e0 = pub.noise_dist().sample_vec(rng, pub.profile.m)
-    return x, ring.reduce(ring.matmul(x, pub.AT) + b * pub.u + e0)
+    # one reduction of the whole sum, so the product is not reduced before
+    return x, ring.reduce(exact_matmul(x, pub.AT) + b * pub.u + e0)
 
 
 def chk(pub: PublicKey, b, x, y):

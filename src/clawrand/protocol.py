@@ -15,7 +15,7 @@ rule.
 
 When rounds are graded: test rounds and single-round trials as they are
 played.  A generation round's sample and answer are checked as they
-arrive, but its grade waits in a queue of at most _BATCH = 16 rounds,
+arrive, but its grade waits in a queue of at most _BATCH = 8 rounds,
 graded as one batch under the epoch's key (one decode of the stacked
 images, one support check of the stacked answers) when the queue is full,
 just before the epoch's test round is played, and at the end of the run.
@@ -432,11 +432,13 @@ def _record(i: int, is_test: bool, c: int, t: int | None, epoch: int, out: Round
 # batch on the round that fills the queue or before its test round, so the
 # cap bounds the grading work that lands on any one round, and what is held
 # with a key: at most this many rounds.  A batch's products run in float64
-# BLAS (exact_matmul), so its cost grows slowly with its rows: at
-# desk-protocol a batch of 16 grades in ~170 us, less than the ~180 us an
-# int64 batch of 8 took, and cuts the batches per 1000 rounds at
-# p_test = 0.05 from 141 to 85.  CAP_ROTATION_PLACEHOLDER
-_BATCH = 16
+# BLAS (exact_matmul), so a batch of 16 grades in less time than an int64
+# batch of 8 did, but each row still costs its decode, check and record,
+# and the test rounds that carry a batch would carry up to twice the rows:
+# at desk-protocol a cap of 16 raised the 99th-percentile round time from
+# 0.381 to 0.413 ms (medians of 5 seeds, past cap 8's upper quartile of
+# 0.389 ms), so the cap stays at 8.
+_BATCH = 8
 
 
 def run_protocol1(
