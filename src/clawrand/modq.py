@@ -92,18 +92,18 @@ def exact_matmul(a, b) -> np.ndarray:
     it to BLAS (it has no BLAS path for int64).  a and b hold integers of
     magnitude at most q - 1 for a modulus q <= MAX_Q (residues, or R's
     ternary entries); either may be passed already as float64, as a key's
-    cached copies are.
+    copies are (float_operand), and is then used without a conversion.
 
     The result is exact: every partial sum of every dot product, in
     whatever order BLAS adds them, is an integer of magnitude at most
     inner * (q - 1)^2 < 2^29 * 2^24 = 2^53 for an inner size below 2^29,
     and float64 holds every such integer exactly."""
-    return (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
+    return np.matmul(a, b, dtype=np.float64).astype(np.int64)
 
 
 def float_operand(a) -> np.ndarray:
-    """a as a C-contiguous float64 copy, which exact_matmul uses as it is:
-    the form in which a key keeps each matrix it multiplies by."""
+    """a as a C-contiguous float64 copy: the form in which a key keeps
+    each matrix it multiplies by, for exact_matmul."""
     return np.ascontiguousarray(a, dtype=np.float64)
 
 

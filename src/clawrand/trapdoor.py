@@ -83,14 +83,17 @@ class TrapdoorKey:
     A: np.ndarray  # (m, n) residues
     R: np.ndarray  # (w, m - w) entries in {-1, 0, 1}
     mbar: int
-    # A^T and R^T as float_operand copies, made with the key unless given
+    # float64 copies for exact_matmul, made with the key unless given: A^T
+    # contiguous, and R^T as the transpose of a contiguous copy of R, the
+    # copy gen_trap makes to compute R*Abar
     AT: np.ndarray = field(default=None, repr=False, compare=False)
     RT: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, M in (("AT", self.A), ("RT", self.R)):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, float_operand(M.T))
+        if self.AT is None:
+            object.__setattr__(self, "AT", float_operand(self.A.T))
+        if self.RT is None:
+            object.__setattr__(self, "RT", float_operand(self.R).T)
 
     @property
     def m(self) -> int:
@@ -128,9 +131,9 @@ def gen_trap(ring: ModRing, n: int, m: int, rng: np.random.Generator) -> Trapdoo
     mbar = m - w
     Abar = ring.uniform(rng, (mbar, n))
     R = rng.integers(-1, 2, size=(w, mbar), dtype=np.int64)
-    RT = float_operand(R.T)
-    A = np.vstack([Abar, ring.reduce(gadget_matrix(ring, n) - exact_matmul(RT.T, Abar))])
-    return TrapdoorKey(ring=ring, A=A, R=R, mbar=mbar, RT=RT)
+    Rf = float_operand(R)
+    A = np.vstack([Abar, ring.reduce(gadget_matrix(ring, n) - exact_matmul(Rf, Abar))])
+    return TrapdoorKey(ring=ring, A=A, R=R, mbar=mbar, RT=Rf.T)
 
 
 # -- gadget-lattice decode structures, cached per modulus ------------------
