@@ -83,7 +83,8 @@ class ModRing:
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
 
     def matmul(self, a, b) -> np.ndarray:
-        """a @ b mod q, by exact_matmul, whose precondition a and b meet."""
+        """a @ b mod q, through exact_matmul, whose bound on the entries of
+        a and b holds here too."""
         return _mod(exact_matmul(a, b), self.q)
 
 

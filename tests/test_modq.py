@@ -14,6 +14,7 @@ from clawrand.modq import (
     bit_encode,
     canonical_json,
     exact_matmul,
+    float_operand,
     gadget_matrix,
     mat_from_json,
     mat_to_json,
@@ -137,8 +138,9 @@ def _object_product(a, b) -> np.ndarray:
 
 def _assert_exact(a, b):
     want = _object_product(a, b)
-    # b as int64, and as the float64 copy a key caches
-    for rhs in (b, np.ascontiguousarray(b, dtype=np.float64)):
+    # b as int64, and in both forms of a key's float64 copies: contiguous
+    # (A^T) and the transpose of a contiguous copy (R^T)
+    for rhs in (b, float_operand(b), float_operand(b.T).T):
         got = exact_matmul(a, rhs)
         assert got.dtype == np.int64 and np.array_equal(got.astype(object), want)
 
