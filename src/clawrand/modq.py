@@ -146,14 +146,19 @@ def bit_encode(ring: ModRing, x) -> np.ndarray:
     return ((x[:, None] >> shifts) & 1).reshape(-1)
 
 
+@functools.lru_cache(maxsize=16)
 def gadget_matrix(ring: ModRing, n: int) -> np.ndarray:
-    """Block-diagonal (n*k, n) matrix with per-coordinate columns (1,2,4,...)."""
+    """Block-diagonal (n*k, n) matrix with per-coordinate columns (1,2,4,...).
+    Built once per (ring, n), since every key of a profile takes it, and
+    read-only, since every caller shares it."""
     k = ring.coord_bits
     g = 1 << np.arange(k, dtype=np.int64)  # 2^(k-1) < q
     G = np.zeros((n, k, n), dtype=np.int64)
     i = np.arange(n)
     G[i, :, i] = g
-    return G.reshape(n * k, n)
+    G = G.reshape(n * k, n)
+    G.flags.writeable = False
+    return G
 
 
 def exact_int(v) -> int:
