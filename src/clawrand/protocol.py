@@ -432,12 +432,12 @@ def _record(i: int, is_test: bool, c: int, t: int | None, epoch: int, out: Round
 # batch on the round that fills the queue or before its test round, so the
 # cap bounds the grading work that lands on any one round, and what is held
 # with a key: at most this many rounds.  A batch's products run in float64
-# BLAS (exact_matmul), so a batch of 16 grades in less time than an int64
-# batch of 8 did, but each row still costs its decode, check and record,
-# and the test rounds that carry a batch would carry up to twice the rows:
-# at desk-protocol a cap of 16 raised the 99th-percentile round time from
-# 0.381 to 0.413 ms (medians of 5 seeds, past cap 8's upper quartile of
-# 0.389 ms), so the cap stays at 8.
+# BLAS (exact_matmul), so a batch of 16 grades in about the time an int64
+# batch of 8 took, but each row still costs ~6 us of decode, check and
+# outcome, and the test rounds that carry a batch would carry up to twice
+# the rows: at desk-protocol a cap of 16 raised the 99th-percentile round
+# time from 0.351 to 0.398 ms (medians of 5 seeds, past cap 8's upper
+# quartile of 0.356 ms) for 6% more rounds a second, so the cap stays 8.
 _BATCH = 8
 
 

@@ -86,6 +86,10 @@ def test_gadget_matrix_examples():
     assert np.array_equal(ring.matmul(G, [5]), [5, 10, 7, 1])
     assert np.array_equal(ring.matmul(G, [0]), [0, 0, 0, 0])
     assert gadget_matrix(ModRing(5), 2).shape == (6, 2)
+    # built once and shared by every caller, so no caller may write to it
+    assert gadget_matrix(ring, 1) is G
+    with pytest.raises(ValueError):
+        G[0, 0] = 2
 
 
 @settings(max_examples=50, deadline=None)
