@@ -167,7 +167,8 @@ def gen(profile: ParameterProfile, rng: np.random.Generator) -> KeyPair:
             AT = float_operand(A.T)
         s_bits = rng.integers(0, 2, size=profile.n, dtype=np.int64)
         e = ring.centered(noise.sample_vec(rng, profile.m))
-        u = ring.reduce(ring.matmul(s_bits, AT) + e)
+        # one reduction of the whole sum, as in sample_branch
+        u = ring.reduce(exact_matmul(s_bits, AT) + e)
         key = KeyPair(PublicKey(profile, A, u, AT), gadget, s_bits, e, table)
         try:
             s0, e0 = invert_sample(key, u)

@@ -13,16 +13,19 @@ round is scored, against the threshold (1 - gamma) * p_test * N.  The
 single-round test grades one round with a fresh key by the same round
 rule.
 
-When rounds are graded: test rounds and single-round trials as they are
-played.  A generation round's sample and answer are checked as they
-arrive, but its grade waits in a queue of at most _BATCH = 8 rounds,
-graded as one batch under the epoch's key (one decode of the stacked
-images, one support check of the stacked answers) when the queue is full,
-just before the epoch's test round is played, and at the end of the run.
-Records are appended in round order as each batch is graded.  No output
-depends on this: a preimage grade draws nothing from the verifier's
-stream, and no grade reaches the prover before the final message (a
-round's decision carries only the refresh flag).
+When rounds are graded: an epoch's rounds together, in stacks.  Each
+round's sample and answer are checked as they arrive (_take), and the
+round waits in a queue graded as one stack under the epoch's key by
+_grade_rounds (one decode of the stacked images, one support check of the
+stacked preimage answers) when it holds _BATCH = 16 generation rounds,
+when the epoch's test round has been taken, which then ends the stack,
+and at the end of the run.  Records are appended in round order as each
+stack is graded.  No output depends on this: only an equation test
+round's coin draws from the verifier's stream, after the stack's decode
+and before the next round is drawn, as it would be if the round were
+graded alone; and no grade reaches the prover before the final message (a
+round's decision carries only the refresh flag).  A single-round trial is
+a stack of one round (_play_round).
 
 Protocol 2 (simplified): no keys and no images; the prover reports its
 own pass bit e (plus a subspace bit k when probed with T = 1) on
@@ -71,7 +74,6 @@ from .devices import SimplifiedDevice, honest_qubit_device
 from .extract import bits_to_hex, empirical_min_entropy
 from .modq import ModRing, canonical_json, exact_int, exact_int64, residues_text
 from .profiles import ParameterProfile
-from .trapdoor import DecodeFailure
 
 
 @dataclass
@@ -327,69 +329,65 @@ def _take(key: KeyPair, prover, c: int):
         return RoundOutcome("malformed_answer", y, {"malformed": str(exc)}, 0)
 
 
-def _grade_preimages(key: KeyPair, taken: list, Y: np.ndarray, decoded: np.ndarray) -> list[RoundOutcome]:
-    """Protocol 1's rule for preimage answers, over the rounds taken (their
-    (y, answer) pairs, with their images stacked in Y) where decoded[i]
-    tells whether round i's image inverts: a round whose image does not
-    invert scores 0 (inv_fail), and the others are credited by one public
-    support check over their stacked answers (chk)."""
-    w = np.zeros(len(taken), dtype=np.int64)
-    if decoded.any():
-        answers = [a for (_, a), ok in zip(taken, decoded) if ok]
-        w[decoded] = chk(
-            key.public,
-            np.array([a["b"] for a in answers]),
-            np.stack([a["x"] for a in answers]),
-            Y[decoded],
-        )
-    return [
-        RoundOutcome("chk" if ok else "inv_fail", y, a, int(wi))
-        for (y, a), ok, wi in zip(taken, decoded, w)
-    ]
+def _grade_rounds(key: KeyPair, intakes: list, rng: np.random.Generator, c: int) -> list[RoundOutcome]:
+    """Protocol 1's round rule over rounds played under key, their outcomes
+    in the order of their intakes (_take's: a (y, answer) pair, or the
+    RoundOutcome of a malformed round, which stands).  Every round has
+    challenge 1 except the last, whose challenge is c.
 
-
-def _grade_generation(key: KeyPair, taken: list) -> list[RoundOutcome]:
-    """Generation rounds, their (y, answer) pairs, graded as one batch
-    under key: one decode of their stacked images, then _grade_preimages.
-    Each row's outcome is the one _play_round gives that round alone."""
-    Y = np.stack([y for y, _ in taken])
-    _, _, decoded = claw_from_image(key, Y, rows=True)
-    return _grade_preimages(key, taken, Y, decoded)
+    One decode covers every image.  An answer to an image that does not
+    invert scores 0 (inv_fail).  Preimage answers are credited by one
+    public support check over their stacked answers (chk).  An equation
+    answer is credited by the claw parity when d is in both good sets
+    (parity), and by a fair coin when it is not (coin).  Only the coin
+    draws from rng, after the decode."""
+    taken = [t for t in intakes if not isinstance(t, RoundOutcome)]
+    if not taken:
+        return intakes
+    # one image is stacked as a view, which is cheaper than np.stack
+    Y = np.stack([y for y, _ in taken]) if len(taken) > 1 else taken[0][0][None]
+    X0, X1, ok = claw_from_image(key, Y, rows=True)
+    equation = c == 0 and taken[-1] is intakes[-1]
+    k = len(taken) - equation
+    graded = []
+    if k:
+        w = np.zeros(k, dtype=np.int64)
+        pre = ok[:k]
+        if pre.any():
+            answers = [a for (_, a), good in zip(taken, pre) if good]
+            w[pre] = chk(
+                key.public,
+                np.array([a["b"] for a in answers]),
+                np.stack([a["x"] for a in answers]),
+                Y[:k][pre],
+            )
+        graded = [
+            RoundOutcome("chk" if good else "inv_fail", y, a, int(wi))
+            for (y, a), good, wi in zip(taken, pre, w)
+        ]
+    if equation:
+        y, answer = taken[-1]
+        x0, x1, d = X0[-1], X1[-1], answer["d"]
+        ring = key.ring
+        if not ok[-1]:
+            graded.append(RoundOutcome("inv_fail", y, answer, 0))
+        elif in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d):
+            parity = claw_equation_bit(ring, x0, x1, d)
+            graded.append(RoundOutcome("parity", y, answer, int(answer["u"] == parity)))
+        else:
+            graded.append(RoundOutcome("coin", y, answer, int(rng.integers(0, 2))))
+    if len(taken) == len(intakes):
+        return graded
+    graded = iter(graded)
+    return [t if isinstance(t, RoundOutcome) else next(graded) for t in intakes]
 
 
 def _play_round(key: KeyPair, prover, rng: np.random.Generator, c: int) -> RoundOutcome:
-    """One round of protocol 1's rule, graded at once.
-
-    The prover commits one image per round.  After the intake (_take), any
-    answer to an image that does not invert scores 0 (inv_fail).  A
-    preimage answer is credited by the public support check (chk); an
-    equation answer by the claw parity when d is in both good sets
-    (parity), and by a fair coin when it is not (coin).  Only the coin
-    draws from rng.
-
-    Test rounds and single-round trials are graded here, as they are
-    played, so the coin keeps its place in the stream.  run_protocol1
-    grades generation rounds (challenge 1) later, in batches, through
-    _grade_generation and the same preimage rule; see the module
-    docstring for when and why that changes no output."""
-    taken = _take(key, prover, c)
-    if isinstance(taken, RoundOutcome):
-        return taken
-    y, answer = taken
-    try:
-        claw = claw_from_image(key, y)
-    except DecodeFailure:
-        claw = None
-    if c == 1:
-        return _grade_preimages(key, [taken], y[None], np.array([claw is not None]))[0]
-    if claw is None:
-        return RoundOutcome("inv_fail", y, answer, 0)
-    x0, x1 = claw
-    ring = key.ring
-    d = answer["d"]
-    if in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d):
-        return RoundOutcome("parity", y, answer, int(answer["u"] == claw_equation_bit(ring, x0, x1, d)))
-    return RoundOutcome("coin", y, answer, int(rng.integers(0, 2)))
+    """One round of protocol 1's rule, graded at once: its intake (_take),
+    then the one-round case of _grade_rounds.  Single-round trials are
+    played here; run_protocol1 grades each epoch's rounds together (see
+    the module docstring)."""
+    return _grade_rounds(key, [_take(key, prover, c)], rng, c)[0]
 
 
 def _play_round2(prover, c: int, t: int) -> RoundOutcome:
@@ -428,17 +426,16 @@ def _record(i: int, is_test: bool, c: int, t: int | None, epoch: int, out: Round
 
 
 # The most generation rounds that wait to be graded.  A key epoch's length
-# is geometric with mean 1/p_test, and its queued rounds are graded in one
-# batch on the round that fills the queue or before its test round, so the
-# cap bounds the grading work that lands on any one round, and what is held
-# with a key: at most this many rounds.  A batch's products run in float64
-# BLAS (exact_matmul), so a batch of 16 grades in about the time an int64
-# batch of 8 took, but each row still costs ~6 us of decode, check and
-# outcome, and the test rounds that carry a batch would carry up to twice
-# the rows: at desk-protocol a cap of 16 raised the 99th-percentile round
-# time from 0.351 to 0.398 ms (medians of 5 seeds, past cap 8's upper
-# quartile of 0.356 ms) for 6% more rounds a second, so the cap stays 8.
-_BATCH = 8
+# is geometric with mean 1/p_test, and its queued rounds are graded on the
+# round that fills the queue, or with the epoch's test round, whose image
+# joins the same decode, so the cap bounds the grading work that lands on
+# any one round, and what is held with a key.  A stack row costs ~6 us at
+# desk-protocol (a stack of 8 ~110 us, of 16 ~165 us).  The cap was chosen
+# by honest-desk's 99th-percentile round time (medians of 5 seeds, 30-s
+# runs): 0.337 ms at cap 8, 0.354 ms (+4.9%) at 12 and 0.366 ms (+8.6%) at
+# 16, for 4.5% and 7.7% more rounds a second; 16 is the largest cap whose
+# tail stays within 10% of cap 8's.
+_BATCH = 16
 
 
 def run_protocol1(
@@ -458,44 +455,42 @@ def run_protocol1(
         _give_key(prover, key)
         return key
 
-    # the generation rounds played since the last grading, in round order:
-    # (index, (y, answer)) awaiting the batch, or (index, RoundOutcome) of
-    # a malformed one, which the intake has already scored
-    queue: list[tuple[int, object]] = []
+    # the rounds of the current epoch played since the last grading, in
+    # round order: (index, is_test, challenge, intake); only an epoch's
+    # test round ends a queue, so every round but the last has challenge 1
+    queue: list[tuple[int, bool, int, object]] = []
 
-    def grade_queue():
-        """Grade the queued rounds as one batch under the current key, one
-        decode of their stacked images, then record them in round order."""
-        pending = [t for _, t in queue if not isinstance(t, RoundOutcome)]
-        graded = iter(_grade_generation(key, pending) if pending else ())
-        for i, t in queue:
-            out = t if isinstance(t, RoundOutcome) else next(graded)
-            tr.records.append(_record(i, False, 1, None, len(tr.epochs) - 1, out))
+    def grade_queue() -> RoundOutcome:
+        """Grade the queued rounds under the current key in one
+        _grade_rounds call, record them in round order and give the last
+        one's outcome."""
+        outs = _grade_rounds(key, [t for *_, t in queue], rng, queue[-1][2])
+        epoch = len(tr.epochs) - 1
+        for (i, is_test, c, _), out in zip(queue, outs):
+            tr.records.append(_record(i, is_test, c, None, epoch, out))
         queue.clear()
+        return outs[-1]
 
     key = issue_key()
     for i in range(N):
         is_test = bool(rng.random() < profile.p_test)
         budget.draw(_h2(profile.p_test))
+        c = 1
         if is_test:
             c = int(rng.integers(0, 2))
             budget.draw(1.0)
-            grade_queue()
-            out = _play_round(key, prover, rng, c)
-            if out.exit == "coin":
+        queue.append((i, is_test, c, _take(key, prover, c)))
+        if is_test or len(queue) == _BATCH:
+            if grade_queue().exit == "coin":
                 budget.draw(1.0)
-            tr.records.append(_record(i, True, c, None, len(tr.epochs) - 1, out))
-        else:
-            queue.append((i, _take(key, prover, 1)))
-            if len(queue) == _BATCH:
-                grade_queue()
         # transport adapters flush round framing here; local provers have no hook
         end_round = getattr(prover, "end_round", None)
         if end_round is not None:
             end_round(i, refresh=is_test)
         if is_test:
             key = issue_key()
-    grade_queue()
+    if queue:
+        grade_queue()
 
     tests = [r for r in tr.records if r.round_type == "test"]
     _decide(tr, tests, _threshold1(profile, N), budget, "no test rounds occurred; rejecting degenerate run")

@@ -1,12 +1,14 @@
 """Smoke tests of the benchmark harness: one short traced and one short
-untraced wire-micro run, and one short untraced run of each desk workload.
+untraced run of wire-micro and of honest-desk, and one short untraced
+garbage-desk run.
 
-The traced run checks the result's schema and correctness gate, that the
-layers the tracer patches were reached, and the modq reduction count.  The
-untraced runs are the ones whose numbers are reported, and they probe their
-setup on their own, so their correctness gates are checked too.  The
-honest-desk gate recomputes each session's verdict and replays its keys to
-check the failed rounds.  None asserts timings."""
+The traced runs check the result's schema and correctness gate, that the
+layers the tracer patches were reached, and on wire-micro the modq
+reduction count.  The untraced runs are the ones whose numbers are
+reported, and they probe their setup on their own, so their correctness
+gates are checked too.  The honest-desk gate recomputes each session's
+verdict and replays its keys to check the failed rounds.  None asserts
+timings."""
 
 import json
 import subprocess
@@ -51,3 +53,11 @@ def test_bench_wire_micro_traced_run():
     # a call count, not a timing: residues are canonical by construction and
     # reduced only where arithmetic leaves [0, q), ~3.6 times a round here
     assert metrics["modq.reduce.calls_per_op"]["value"] < 6
+
+
+def test_bench_honest_desk_traced_run():
+    metrics = _run("honest-desk", trace=1)["metrics"]
+    # the gadget decode and the grading, reached through the names the
+    # tracer patches: a grader that bypasses them reads 0 here
+    assert metrics["trapdoor.invert.accept.calls_per_op"]["value"] > 0
+    assert metrics["clawfree.grade.calls_per_op"]["value"] > 0

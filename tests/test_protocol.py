@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.stats
 
 from clawrand.clawfree import (
     _sample_noise_bound,
+    chk,
     claw_equation_bit,
     claw_from_image,
     claw_through,
@@ -28,7 +30,7 @@ from clawrand.protocol import (
     SessionAbort,
     Transcript,
     _BATCH,
-    _grade_generation,
+    _grade_rounds,
     _play_round,
     prover_catalog,
     protocol1_verdict,
@@ -119,9 +121,9 @@ def test_garbage_trial_decodes_one_image(monkeypatch):
 
     calls = []
 
-    def counted(key, y):
+    def counted(key, y, **kwargs):
         calls.append(y)
-        return claw_from_image(key, y)
+        return claw_from_image(key, y, **kwargs)
 
     monkeypatch.setattr(protocol, "claw_from_image", counted)
     prover = RandomNoiseProver(substream(9, "prover"))
@@ -483,12 +485,56 @@ def _generation_cases(name):
     return key, cases
 
 
+def _graded_alone(key, y, answer, c, rng):
+    """(exit, W) of protocol 1's rule for one round after its intake,
+    written out one image at a time: the reference for _grade_rounds."""
+    try:
+        x0, x1 = claw_from_image(key, y)
+    except DecodeFailure:
+        return "inv_fail", 0
+    if c == 1:
+        return "chk", chk(key.public, answer["b"], answer["x"], y)
+    ring, d = key.ring, answer["d"]
+    if in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d):
+        return "parity", int(answer["u"] == claw_equation_bit(ring, x0, x1, d))
+    return "coin", int(rng.integers(0, 2))
+
+
+def _test_rows(key, cases):
+    """Test rounds to end a stack with, as (c, (y, answer)): each
+    generation case as a preimage round, and on the honest image an
+    equation round for each equation exit it can take (parity passed and
+    failed where the key has a good d, and the coin), plus one on every
+    image that does not invert (inv_fail)."""
+    ring, prof = key.ring, key.profile
+    rows = [(1, case) for case in cases.values()]
+    zeros = np.zeros(prof.w, dtype=np.int64)  # its secret mask is 0: never in a good set
+    for y, _ in cases.values():
+        try:
+            claw_from_image(key, y)
+        except DecodeFailure:
+            rows.append((0, (y, {"u": 0, "d": zeros})))
+    y = cases["honest"][0]
+    x0, x1 = claw_from_image(key, y)
+    rng = substream(36, "good-d", prof.name)
+    for _ in range(200):  # micro's n = 1 leaves branch 1's half, and so the good set, empty
+        d = rng.integers(0, 2, size=prof.w, dtype=np.int64)
+        if in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d):
+            u = claw_equation_bit(ring, x0, x1, d)
+            rows += [(0, (y, {"u": u, "d": d})), (0, (y, {"u": 1 - u, "d": d}))]
+            break
+    rows.append((0, (y, {"u": 0, "d": zeros})))
+    return rows
+
+
 @pytest.mark.parametrize("size", [1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
 @pytest.mark.parametrize("name", ["desk-small", "desk-protocol", "micro", "micro-noisy"])
 def test_batch_grades_each_round_as_it_is_graded_alone(name, size):
-    # every row's exit and W from one batch are those _play_round gives the
-    # round alone; stacks of one hold each case in turn, longer stacks
-    # cycle through the cases in a shuffled order
+    # every row's exit and W from one stack are those the round gets
+    # graded alone; stacks of one hold each case in turn, longer stacks
+    # cycle through the cases in a shuffled order.  Each stack is graded
+    # as generation rounds only, and again ended by each test round, whose
+    # coin must leave the verifier's stream where grading it alone does
     key, cases = _generation_cases(name)
     kinds = sorted(cases)
     if size == 1:
@@ -496,53 +542,82 @@ def test_batch_grades_each_round_as_it_is_graded_alone(name, size):
     else:
         order = substream(32, "batch-order", name, size).permutation(size)
         stacks = [[kinds[j % len(kinds)] for j in order]]
-    exits = set()
-    for stack in stacks:
+    exits, test_exits = set(), set()
+    for n, stack in enumerate(stacks):
         taken = [cases[kind] for kind in stack]
-        outcomes = _grade_generation(key, taken)
-        assert len(outcomes) == len(taken)
-        for (y, answer), out in zip(taken, outcomes):
-            alone = _play_round(key, _Scripted(y, ("pre", answer["b"], answer["x"])), substream(33, "unused"), 1)
-            assert (out.exit, out.w) == (alone.exit, alone.w)
-            assert out.y is y and out.answer is answer
-            exits.add((out.exit, out.w))
+        for j, (c, test_row) in enumerate([(1, None), *_test_rows(key, cases)]):
+            rows = taken if test_row is None else [*taken, test_row]
+            rng = substream(33, "verifier", name, size, n, j)
+            twin = copy.deepcopy(rng)
+            outcomes = _grade_rounds(key, rows, rng, c)
+            assert len(outcomes) == len(rows)
+            for (y, answer), out in zip(taken, outcomes):
+                assert (out.exit, out.w) == _graded_alone(key, y, answer, 1, None)
+                assert out.y is y and out.answer is answer
+                exits.add((out.exit, out.w))
+            if test_row is not None:
+                out = outcomes[-1]
+                assert (out.exit, out.w) == _graded_alone(key, *test_row, c, twin)
+                assert out.y is test_row[0] and out.answer is test_row[1]
+                test_exits.add((c, out.exit) if out.exit == "coin" else (c, out.exit, out.w))
+            assert rng.bit_generator.state == twin.bit_generator.state
     assert {("chk", 0), ("chk", 1)} <= exits
     # an image that does not invert: a decode failure, or a tied micro one
     assert (("inv_fail", 0) in exits) == (name != "micro")
+    gadget = key.gadget is not None
+    want = {(1, "chk", 0), (1, "chk", 1), (0, "coin")}
+    assert want <= test_exits
+    assert ({(0, "parity", 0), (0, "parity", 1)} <= test_exits) == gadget
+    assert ((0, "inv_fail", 0) in test_exits) == ((1, "inv_fail", 0) in test_exits) == (name != "micro")
 
 
 def test_generation_batches_are_capped_keep_their_epoch_and_draw_nothing(monkeypatch):
-    # long epochs (p_test 0.02) fill whole batches; each batch is graded
-    # under the key of its own epoch, before that key is refreshed, and
-    # leaves the verifier's stream where it found it
+    # long epochs (p_test 0.02) fill whole batches.  Each stack holds at
+    # most _BATCH generation rounds, then at most its epoch's test round,
+    # last; it is graded under the key of its own epoch, before that key
+    # is refreshed, and leaves the verifier's stream where it found it
+    # unless its test round exits by the coin, which draws one bit
     from clawrand import protocol
 
     rng = substream(34, "verifier")
-    keys, batches = [], []
-    gen_orig, grade_orig = protocol.gen, protocol._grade_generation
+    keys, stacks = [], []
+    gen_orig, grade_orig = protocol.gen, protocol._grade_rounds
 
     def recording_gen(*args):
         keys.append(gen_orig(*args))
         return keys[-1]
 
-    def recording_grade(key, taken):
-        state = rng.bit_generator.state
-        out = grade_orig(key, taken)
-        assert rng.bit_generator.state == state
-        batches.append((key, [y for y, _ in taken]))
-        return out
+    def recording_grade(key, intakes, rng_, c):
+        assert rng_ is rng
+        twin = copy.deepcopy(rng)
+        outs = grade_orig(key, intakes, rng_, c)
+        if outs[-1].exit == "coin":
+            twin.integers(0, 2)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        stacks.append((key, intakes, c, outs[-1].exit))
+        return outs
 
     monkeypatch.setattr(protocol, "gen", recording_gen)
-    monkeypatch.setattr(protocol, "_grade_generation", recording_grade)
+    monkeypatch.setattr(protocol, "_grade_rounds", recording_grade)
     prof = get_profile("micro", p_test=0.02)
-    tr = run_protocol1(prof, CommittedPreimageProver(substream(34, "prover")), rng, n_rounds=300)
-    sizes = [len(ys) for _, ys in batches]
-    assert max(sizes) == _BATCH and sum(sizes) == sum(r.round_type == "gen" for r in tr.records)
-    gens = iter(r for r in tr.records if r.round_type == "gen")
-    for key, ys in batches:
-        recs = [next(gens) for _ in ys]
-        assert all(np.array_equal(r.y, y) for r, y in zip(recs, ys))
-        assert {keys[r.key_epoch] is key for r in recs} == {True}
+    tr = run_protocol1(prof, CommittedPreimageProver(substream(34, "prover")), rng, n_rounds=600)
+    recs = iter(tr.records)
+    gen_rows, last_exits = [], set()
+    for key, intakes, c, last_exit in stacks:
+        stack = [next(recs) for _ in intakes]
+        *gens, last = stack
+        assert {r.round_type for r in gens} <= {"gen"}
+        gen_rows.append(sum(r.round_type == "gen" for r in stack))
+        assert gen_rows[-1] <= _BATCH and c == last.challenge
+        if last_exit == "coin":
+            assert last.round_type == "test"
+        last_exits.add((last.round_type, last_exit))
+        assert all(np.array_equal(r.y, y) for r, (y, _) in zip(stack, intakes))
+        assert {keys[r.key_epoch] is key for r in stack} == {True}
+    assert next(recs, None) is None
+    assert max(gen_rows) == _BATCH
+    # both sides of the coin rule were seen on test rounds
+    assert {("test", "coin"), ("test", "chk")} <= last_exits
 
 
 @pytest.mark.parametrize("p_test,rounds", [(0.1, 0), (0.0, 20)])
