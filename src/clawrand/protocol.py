@@ -456,8 +456,8 @@ def run_protocol1(
         return key
 
     # the rounds of the current epoch played since the last grading, in
-    # round order: (index, is_test, challenge, intake); only an epoch's
-    # test round ends a queue, so every round but the last has challenge 1
+    # round order: (index, is_test, challenge, intake); an epoch's test
+    # round is graded at once, so only the last round can be a test round
     queue: list[tuple[int, bool, int, object]] = []
 
     def grade_queue() -> RoundOutcome:
