@@ -41,9 +41,11 @@ class TruncGaussian:
             support_c = support_c[support_c != -(q // 2)]
         weights = np.exp(-math.pi * support_c.astype(float) ** 2 / self.B**2)
         tau = float(weights.sum())
+        # the support's residues, in the order of the cdf's entries
+        support = np.mod(support_c, q)
         dens = np.zeros(q)
-        dens[np.mod(support_c, q)] = weights / tau
-        self._table["support_centered"] = support_c
+        dens[support] = weights / tau
+        self._table["support_residues"] = support
         self._table["density"] = dens
         cdf = np.cumsum(weights / tau)
         # the float sum can end just below 1, under the largest draw of
@@ -75,10 +77,12 @@ class TruncGaussian:
     # -- sampling --------------------------------------------------------
 
     def sample_vec(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """m i.i.d. coordinates, as residues in [0, q)."""
-        u = rng.random(m)
-        idx = np.searchsorted(self._table["cdf"], u)
-        return np.mod(self._table["support_centered"][idx], self.ring.q)
+        """m i.i.d. coordinates, as residues in [0, q), by inverse-CDF
+        sampling: each of the draws rng.random(m) picks the support entry
+        whose cdf interval holds it.  The support is kept as residues, so
+        a call is a draw, a search and a gather."""
+        t = self._table
+        return t["support_residues"][t["cdf"].searchsorted(rng.random(m))]
 
 
 # -- distances -----------------------------------------------------------

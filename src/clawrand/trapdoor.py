@@ -416,7 +416,8 @@ def exhaustive_invert(table: ImageTable, y, max_norm: float, *, rows: bool = Fal
     q = table.ring.q
     m = table.e.shape[1]
     Y = _stack(y, m, rows)
-    if Y.min() < 0 or Y.max() >= q:
+    # one unsigned compare: a negative int64 entry reads as 2^63 or more
+    if (Y.view(np.uint64) >= q).any():
         raise ValueError(f"sample entries must lie in [0, {q})")
     i = Y @ q ** np.arange(m - 1, -1, -1)
     failure = np.where(~_within(table.norm2[i], max_norm), 1, np.where(table.tied[i], 2, 0))

@@ -87,6 +87,31 @@ def test_sampler_maps_the_largest_draw_to_the_last_support_entry():
     assert np.array_equal(d.sample_vec(_TopDrawRng(), 4), [1, 1, 1, 1])
 
 
+def _reference_sample(d, rng, m):
+    """Inverse-CDF sampling written out: the centered support entry of each
+    uniform draw, reduced mod q.  The support is -L..L with L = floor(B),
+    for a width below q/2."""
+    L = math.floor(d.B)
+    support_centered = np.arange(-L, L + 1, dtype=np.int64)
+    return np.mod(support_centered[np.searchsorted(d._table["cdf"], rng.random(m))], d.ring.q)
+
+
+@pytest.mark.parametrize("q,B,entries", [(13, 0.5, 1), (13, 1.5, 3), (61, 2.5, 5)])
+def test_sampler_matches_the_inverse_cdf_reference(q, B, entries):
+    # the same values from the same draws, and the stream left where the
+    # reference leaves it, so no caller's later draws move
+    d = dist(q, B)
+    assert d._table["cdf"].size == entries
+    for seed in range(3):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for m in (0, 1, 7, 160):
+            got, want = d.sample_vec(rng, m), _reference_sample(d, ref, m)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+    got, want = d.sample_vec(_TopDrawRng(), 5), _reference_sample(d, _TopDrawRng(), 5)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_sampler_deterministic_and_symmetric():
     d = dist(7, 2.0)
     a = d.sample_vec(np.random.default_rng(42), 50)

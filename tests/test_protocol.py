@@ -32,6 +32,7 @@ from clawrand.protocol import (
     _BATCH,
     _grade_rounds,
     _play_round,
+    _take,
     prover_catalog,
     protocol1_verdict,
     run_protocol1,
@@ -381,9 +382,11 @@ def test_protocol2_equation_report_is_a_pair_of_bits(report):
 
 
 class _Scripted:
-    """Hands the verifier a fixed sample and a fixed answer."""
+    """Hands the verifier a fixed sample and a fixed answer, counting the
+    answers it is asked for."""
 
     wants_trapdoor = False
+    answers = 0
 
     def __init__(self, sample, ans):
         self.sample = sample
@@ -393,6 +396,7 @@ class _Scripted:
         return self.sample
 
     def answer(self, c, t=None):
+        self.answers += 1
         return self.ans
 
 
@@ -652,6 +656,82 @@ def test_single_round_malformed_sample_asks_no_answer(spoil):
     rep = single_round_test(get_profile("micro"), prover, 30, substream(21, "verifier"))
     assert rep.successes == 0
     assert prover.answers == 0
+
+
+def _desk_round():
+    """A desk-protocol key, an honest branch-0 image y and its preimage x,
+    and an equation answer (u, d) that the claw parity passes."""
+    key = gen(get_profile("desk-protocol"), substream(37, "key"))
+    rng = substream(37, "prover")
+    ring, prof = key.ring, key.profile
+    x, y = sample_branch(key.public, 0, rng)
+    x1 = claw_through(key, 0, x)[1]
+    while True:
+        d = rng.integers(0, 2, size=prof.w, dtype=np.int64)
+        if in_good_set(ring, 0, x, d) and in_good_set(ring, 1, x1, d):
+            return key, y, x, claw_equation_bit(ring, x, x1, d), d
+
+
+def _spoiled(v, value):
+    """v with entry 0 set to value, as int64, or as uint64 where value is
+    2^63, which int64 cannot hold."""
+    out = v.astype(np.uint64 if value == 1 << 63 else np.int64)
+    out[0] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "value", [-1, "q", (1 << 63) - 1, -(1 << 63), 1 << 63], ids=["minus-1", "q", "int64-max", "int64-min", "2^63"]
+)
+@pytest.mark.parametrize("field", ["sample", "x", "d"])
+def test_entries_outside_their_range_are_malformed_on_desk_protocol(field, value):
+    # the extremes of int64, and 2^63, which an int64 conversion wraps to
+    # -2^63, are refused as -1 and q are, with the same message; a refused
+    # sample asks for no answer
+    key, y, x, u, d = _desk_round()
+    value = key.profile.q if value == "q" else value
+    c = 0 if field == "d" else 1
+    sample = _spoiled(y, value) if field == "sample" else y
+    ans = ("eq", u, _spoiled(d, value)) if c == 0 else ("pre", 0, _spoiled(x, value) if field == "x" else x)
+    prover = _Scripted(sample, ans)
+    out = _play_round(key, prover, substream(37, "verifier"), c)
+    message = {
+        "sample": "sample entries outside [0, q)",
+        "x": "preimage answer out of domain",
+        "d": "equation answer out of domain",
+    }[field]
+    assert out.exit == ("malformed_sample" if field == "sample" else "malformed_answer")
+    assert out.answer == {"malformed": message} and out.w == 0
+    assert prover.answers == (field != "sample")
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64, np.bool_])
+def test_entries_of_any_integer_dtype_grade_as_int64_on_desk_protocol(dtype):
+    # the edges of the range, 0 and q - 1 (0 and 1 for a bool array), sent
+    # as another integer dtype: each round grades, and records, exactly
+    # as its int64 twin, alone and in a stack of every challenge
+    key, y, x, u, d = _desk_round()
+    top = key.profile.q - 1
+    if dtype is np.bool_:
+        y, x, top = y & 1, x & 1, 1
+    assert {0, top} <= set(y.tolist()) & set(x.tolist())
+    rounds = [(1, y, ("pre", 0, x)), (1, y, ("pre", 1, x)), (0, y, ("eq", u, d)), (0, y, ("eq", 1 - u, d))]
+
+    def outcomes(cast, rounds):
+        intakes = [_take(key, _Scripted(cast(img), (kind, a, cast(v))), c) for c, img, (kind, a, v) in rounds]
+        rng = substream(38, "verifier", len(rounds))
+        return _grade_rounds(key, intakes, rng, rounds[-1][0]), rng.bit_generator.state
+
+    for stack in [[r] for r in rounds] + [rounds[:2]] + [rounds[:2] + rounds[k:k + 1] for k in (2, 3)]:
+        want, want_state = outcomes(lambda v: v, stack)
+        got, got_state = outcomes(lambda v: v.astype(dtype), stack)
+        assert got_state == want_state
+        for g, w in zip(got, want):
+            assert (g.exit, g.w) == (w.exit, w.w)
+            assert g.y.dtype == np.int64 and np.array_equal(g.y, w.y)
+            assert g.answer.keys() == w.answer.keys()
+            for k, v in w.answer.items():
+                assert np.array_equal(g.answer[k], v) and np.asarray(g.answer[k]).dtype == np.asarray(v).dtype
 
 
 @pytest.mark.parametrize("trials", [0, -2])

@@ -194,7 +194,11 @@ def test_exhaustive_invert_refuses_a_sample_of_the_wrong_shape(y):
         exhaustive_invert(table, y, max_norm=3.0)
 
 
-@pytest.mark.parametrize("y", [[14, 15], [1, 13], [-1, 2]], ids=["both-high", "q", "negative"])
+@pytest.mark.parametrize(
+    "y",
+    [[14, 15], [1, 13], [-1, 2], [-(1 << 63), 2], [1, (1 << 63) - 1]],
+    ids=["both-high", "q", "negative", "int64-min", "int64-max"],
+)
 def test_exhaustive_invert_refuses_entries_outside_the_residues(y):
     # (14, 15) would decode as (1, 2) mod 13
     ring = ModRing(13)
