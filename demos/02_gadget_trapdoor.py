@@ -12,7 +12,7 @@ import numpy as np
 
 from clawrand.gaussians import TruncGaussian
 from clawrand.modq import ModRing, gadget_matrix
-from clawrand.trapdoor import DecodeFailure, gen_trap, invert, measure_decode_radius
+from clawrand.trapdoor import OVER_BOUND, gen_trap, invert, measure_decode_radius
 
 ring = ModRing(61)
 rng = np.random.default_rng(1)
@@ -24,21 +24,18 @@ print("[R | I] @ A == gadget:", np.array_equal(ring.matmul(RI, key.A), gadget_ma
 
 noise = TruncGaussian(ring, 2.0)
 bound = 2.0 * math.sqrt(56)
-ok = 0
+S, E = [], []
 for _ in range(2000):
-    s = ring.uniform(rng, 8)
-    e = ring.centered(noise.sample_vec(rng, 56))
-    y = ring.reduce(ring.matmul(key.A, s) + e)
-    s2, e2 = invert(key, y, max_norm=bound)
-    ok += int(np.array_equal(s2, s) and np.array_equal(e2, e))
-print(f"round-trip on 2000 noisy samples: {ok}/2000 exact recoveries")
+    S.append(ring.uniform(rng, 8))
+    E.append(ring.centered(noise.sample_vec(rng, 56)))
+S, E = np.array(S), np.array(E)
+# the 2000 samples decode as one stack, row by row
+S2, E2, path = invert(key, ring.reduce(ring.matmul(S, key.A.T) + E), max_norm=bound)
+ok = (path < OVER_BOUND) & (S2 == S).all(axis=1) & (E2 == E).all(axis=1)
+print(f"round-trip on 2000 noisy samples: {ok.sum()}/2000 exact recoveries")
 
-fails = 0
-for _ in range(200):
-    try:
-        invert(key, ring.uniform(rng, 56), max_norm=bound)
-    except DecodeFailure:
-        fails += 1
+garbage = np.array([ring.uniform(rng, 56) for _ in range(200)])
+fails = (invert(key, garbage, max_norm=bound)[2] >= OVER_BOUND).sum()
 print(f"uniform garbage flagged: {fails}/200")
 
 radius = measure_decode_radius(key, rng, trials=100)

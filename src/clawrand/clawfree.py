@@ -43,6 +43,8 @@ from .modq import (
 )
 from .profiles import ParameterProfile
 from .trapdoor import (
+    OVER_BOUND,
+    PATHS,
     DecodeFailure,
     ImageTable,
     TrapdoorKey,
@@ -122,14 +124,14 @@ def _sample_noise_bound(profile: ParameterProfile) -> float:
     return (profile.B_P + profile.B_V) * math.sqrt(profile.m)
 
 
-def invert_sample(key: KeyPair, y, *, rows: bool = False):
-    """Decode y = A*s0 + e0 into (s0, e0) within the branch-support bound;
-    with rows=True, a stack of images into row-wise (S0, E0, ok), as
-    trapdoor.invert gives it."""
+def invert_sample(key: KeyPair, Y):
+    """Decode a stack of images y = A*s0 + e0, one a row, within the
+    branch-support bound into row-wise (S0, E0, path), as trapdoor.invert
+    or, at micro shapes, exhaustive_invert gives it."""
     bound = _sample_noise_bound(key.profile)
     if key.gadget is not None:
-        return invert(key.gadget, y, max_norm=bound, rows=rows)
-    return exhaustive_invert(key.table, y, max_norm=bound, rows=rows)
+        return invert(key.gadget, Y, max_norm=bound)
+    return exhaustive_invert(key.table, Y, max_norm=bound)
 
 
 def _image_grid(ring: ModRing, A: np.ndarray) -> np.ndarray:
@@ -170,11 +172,8 @@ def gen(profile: ParameterProfile, rng: np.random.Generator) -> KeyPair:
         # one reduction of the whole sum, as in sample_branch
         u = ring.reduce(exact_matmul(s_bits, AT) + e)
         key = KeyPair(PublicKey(profile, A, u, AT), gadget, s_bits, e, table)
-        try:
-            s0, e0 = invert_sample(key, u)
-        except DecodeFailure:
-            continue
-        if np.array_equal(s0, s_bits) and np.array_equal(e0, e):
+        S0, E0, path = invert_sample(key, u[None])
+        if path[0] < OVER_BOUND and np.array_equal(S0[0], s_bits) and np.array_equal(E0[0], e):
             return key
     raise KeyGenFailure(f"no invertible key in {_KEYGEN_RETRIES} draws for {profile.name}")
 
@@ -240,8 +239,12 @@ def claw_through(key: KeyPair, b: int, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def claw_from_image(key: KeyPair, y, *, rows: bool = False):
-    """(x0, x1) for an image y, via one trapdoor decode; with rows=True, a
-    stack of images gives row-wise (X0, X1, ok), as invert_sample's.
+    """(x0, x1) for an image y, via one trapdoor decode, or DecodeFailure
+    with the path's name (trapdoor.PATHS).  With rows=True, a stack of
+    images gives row-wise (X0, X1, path), as invert_sample's; a row is a
+    claw where path < OVER_BOUND.  The one-image form is kept here alone,
+    for callers that take one claw and may raise: the inv oracle, the
+    demos and the benchmark's replay of failed rounds.
 
     X1 is reduced on every row, decoded or not, though no caller reads an
     undecoded row's.  One reduce of the whole stack is the cheapest form
@@ -250,10 +253,12 @@ def claw_from_image(key: KeyPair, y, *, rows: bool = False):
     on one garbage row; skipping the reduce when no row decodes saves ~2 us
     a garbage trial but adds ~2 us to every honest stack."""
     if rows:
-        s0, _, ok = invert_sample(key, y, rows=True)
-        return s0, key.ring.reduce(s0 - key.s_bits), ok
-    s0, _ = invert_sample(key, y)
-    return s0, key.ring.reduce(s0 - key.s_bits)
+        s0, _, path = invert_sample(key, y)
+        return s0, key.ring.reduce(s0 - key.s_bits), path
+    s0, _, path = invert_sample(key, np.asarray(y)[None])
+    if path[0] >= OVER_BOUND:
+        raise DecodeFailure(PATHS[path[0]])
+    return s0[0], key.ring.reduce(s0[0] - key.s_bits)
 
 
 # -- the equation side -------------------------------------------------------

@@ -74,6 +74,7 @@ from .devices import SimplifiedDevice, honest_qubit_device
 from .extract import bits_to_hex, empirical_min_entropy
 from .modq import ModRing, canonical_json, exact_int, exact_int64, residues_text
 from .profiles import ParameterProfile
+from .trapdoor import OVER_BOUND
 
 
 @dataclass
@@ -349,13 +350,13 @@ def _grade_rounds(key: KeyPair, intakes: list, rng: np.random.Generator, c: int)
     # np.array of a list of equal-shape rows stacks them for a third of
     # np.stack's call overhead; one image is stacked as a view
     Y = np.array([y for y, _ in taken]) if len(taken) > 1 else taken[0][0][None]
-    X0, X1, ok = claw_from_image(key, Y, rows=True)
+    X0, X1, path = claw_from_image(key, Y, rows=True)
     equation = c == 0 and taken[-1] is intakes[-1]
     k = len(taken) - equation
     graded = []
     if k:
         w = np.zeros(k, dtype=np.int64)
-        pre = ok[:k]
+        pre = path[:k] < OVER_BOUND
         if pre.any():
             answers = [a for (_, a), good in zip(taken, pre) if good]
             w[pre] = chk(
@@ -372,7 +373,7 @@ def _grade_rounds(key: KeyPair, intakes: list, rng: np.random.Generator, c: int)
         y, answer = taken[-1]
         x0, x1, d = X0[-1], X1[-1], answer["d"]
         ring = key.ring
-        if not ok[-1]:
+        if path[-1] >= OVER_BOUND:
             graded.append(RoundOutcome("inv_fail", y, answer, 0))
         elif in_good_set(ring, 0, x0, d) and in_good_set(ring, 1, x1, d):
             parity = claw_equation_bit(ring, x0, x1, d)

@@ -32,7 +32,7 @@ A key holds no decode state but one: a float64 copy of each matrix a
 decode multiplies by, A^T and R^T, made once with the key.  numpy has no
 BLAS path for int64, so the decode's two products run in float64 through
 modq.exact_matmul, which is exact for residues; converting the operands
-on every call would make a one-image decode slower than int64, and one
+on every call would make a one-row decode slower than int64, and one
 copy a key does not.  A fallback search builds its candidates' prefix
 rows from A itself.
 
@@ -74,7 +74,16 @@ _FALLBACK_PREFIX = 24
 
 
 class DecodeFailure(Exception):
-    """Inversion could not produce (s, e) within the requested noise bound."""
+    """An image that did not invert, with its path's name as the message.
+    Only clawfree.claw_from_image's one-image form raises it."""
+
+
+# A decoded row's path, by its int8 code.  Codes below OVER_BOUND are the
+# decoded rows, where a repair's code is the number of blocks it moved from
+# the primary answer; TIED is an exhaustive decode's tied minimum.
+PATHS = ("primary", "one-block repair", "pair repair", "no candidate within the noise bound",
+         "ambiguous decode: tied minimal residuals")
+PRIMARY, SINGLE, PAIR, OVER_BOUND, TIED = range(len(PATHS))
 
 
 @dataclass(frozen=True)
@@ -229,22 +238,19 @@ def _block_rows(ring: ModRing, data: dict, r: np.ndarray) -> np.ndarray:
     return rows
 
 
-def invert(key: TrapdoorKey, y, max_norm: float, *, rows: bool = False):
-    """Recover (s, e) with y = A*s + e exactly and the centered norm of e
-    within max_norm; a decode whose residual violates the bound raises
-    DecodeFailure after the fallback search is exhausted.
+def invert(key: TrapdoorKey, Y, max_norm: float):
+    """Decode a stack of images, one a row, at once: (S, E, path), where
+    row i has y = A*s + e exactly and the centered norm of e within
+    max_norm when path[i] < OVER_BOUND (see PATHS).  One primary decode
+    covers every block of every row; only the rows over the bound run the
+    fallback search, whose hit names the row's path, or OVER_BOUND when
+    none meets the bound.  One image is decoded as a one-row stack.
 
-    With rows=True, y is a stack of images, one a row, decoded at once:
-    one primary decode over every block of every row, then the fallback
-    search for the rows over the bound only.  It returns (S, E, ok), row i
-    decoded when ok[i], and raises no DecodeFailure.  One image is the
-    one-row case.
-
-    y's entries must lie in [0, q), as exact_matmul needs; the protocol
+    Y's entries must lie in [0, q), as exact_matmul needs; the protocol
     checks every image at intake.
     """
     ring = key.ring
-    Y = _stack(y, key.m, rows)
+    Y = _stack(Y, key.m)
     data = _decode_data(ring)
     r = ring.reduce(exact_matmul(Y[:, : key.mbar], key.RT) + Y[:, key.mbar :])
     blocks = _block_rows(ring, data, r).reshape(len(Y), key.n, -1)
@@ -252,35 +258,21 @@ def invert(key: TrapdoorKey, y, max_norm: float, *, rows: bool = False):
     # centered reduces the product, so it is not reduced before
     E = ring.centered(Y - exact_matmul(S, key.AT))
     ok = _within((E * E).sum(axis=1), max_norm)
+    path = np.where(ok, PRIMARY, OVER_BOUND).astype(np.int8)
     for i in np.flatnonzero(~ok):
         ranked = blocks[i, :, 1:] if "table" in data else _rank_codewords(ring, data, ring.centered(r[i]))
-        s = _fallback_search(key, data, ranked, E[i], S[i], max_norm)
+        s, path[i] = _fallback_search(key, data, ranked, E[i], S[i], max_norm)
         if s is not None:
-            S[i], E[i], ok[i] = s, ring.centered(Y[i] - exact_matmul(s, key.AT)), True
-    return _decoded(S, E, np.where(ok, 0, 1), rows)
+            S[i], E[i] = s, ring.centered(Y[i] - exact_matmul(s, key.AT))
+    return S, E, path
 
 
-# why a row of a decode failed, by its code; code 0 is a decoded row
-_FAILURES = {1: "no candidate within the noise bound", 2: "ambiguous decode: tied minimal residuals"}
-
-
-def _stack(y, m: int, rows: bool) -> np.ndarray:
-    """y as an int64 stack of images of length m, one a row: y itself
-    with rows, else y as the one row, which must have shape (m,)."""
-    Y = np.asarray(y, dtype=np.int64)
-    if Y.ndim != 1 + rows or Y.shape[-1] != m:
-        raise ValueError(f"images must have shape (k, {m})" if rows else f"sample must have shape ({m},)")
-    return Y if rows else Y[None]
-
-
-def _decoded(S: np.ndarray, E: np.ndarray, failure: np.ndarray, rows: bool):
-    """A decode's result from its rows and their failure codes: (S, E, ok)
-    with rows, else the one row's (s, e), or its DecodeFailure."""
-    if rows:
-        return S, E, failure == 0
-    if failure[0]:
-        raise DecodeFailure(_FAILURES[int(failure[0])])
-    return S[0], E[0]
+def _stack(Y, m: int) -> np.ndarray:
+    """Y as an int64 stack of images of length m, one a row."""
+    Y = np.asarray(Y, dtype=np.int64)
+    if Y.ndim != 2 or Y.shape[1] != m:
+        raise ValueError(f"images must have shape (k, {m})")
+    return Y
 
 
 def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
@@ -293,7 +285,8 @@ def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
     # that order whose residual meets the bound wins; deeper misses are
     # reported as failures.  Residuals are e0 plus column deltas, never
     # full products, and their squared centered residues are looked up in
-    # the table of size 3q.
+    # the table of size 3q.  Returns the repaired s and the stage that hit,
+    # SINGLE or PAIR, or (None, OVER_BOUND).
     q = key.ring.q
     sq = data["sq"]
     owner, rank = np.nonzero(ranked != s_primary[:, None])
@@ -316,9 +309,9 @@ def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
     i = _first_within(sq, head + r0[:p], lambda live: tail(live) + r0[p:], max_norm)
     if i is not None:
         s[owner[i]] = value[i]
-        return s
+        return s, SINGLE
     if key.n > _FALLBACK_PAIR_MAX_N:
-        return None
+        return None, OVER_BOUND
     a, b = np.triu_indices(owner.size, 1)
     distinct = owner[a] != owner[b]
     a, b = a[distinct], b[distinct]
@@ -330,9 +323,9 @@ def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
 
     i = _first_within(sq, head[a] + head[b] + r0[:p], pair_tail, max_norm)
     if i is None:
-        return None
+        return None, OVER_BOUND
     s[owner[a[i]]], s[owner[b[i]]] = value[a[i]], value[b[i]]
-    return s
+    return s, PAIR
 
 
 def _within(norms2, max_norm):
@@ -402,26 +395,26 @@ def image_table(ring: ModRing, A: np.ndarray, images: np.ndarray) -> ImageTable:
     )
 
 
-def exhaustive_invert(table: ImageTable, y, max_norm: float, *, rows: bool = False):
-    """Trapdoor-free inversion at micro shapes, by one lookup in the key's
-    ImageTable.
+def exhaustive_invert(table: ImageTable, Y, max_norm: float):
+    """Trapdoor-free inversion at micro shapes: a stack of images, one a
+    row, looked up at once in the key's ImageTable, with a row-wise result
+    (S, E, path) as invert's.
 
-    Returns (s, e) for the s whose residual e = y - A*s has the least
-    centered norm, even where other s are also within max_norm.  Fails if
-    that least norm exceeds max_norm, or if another s attains it.  y must
-    have shape (m,) and entries in [0, q).  With rows=True, y is a stack of
-    images, one a row, looked up at once, and the result is row-wise, as
-    invert's.
+    Row i holds the s whose residual e = y - A*s has the least centered
+    norm, even where other s are also within max_norm.  Its path is
+    OVER_BOUND if that least norm exceeds max_norm, TIED if another s
+    attains it, else PRIMARY.  Y must have shape (k, m) and entries in
+    [0, q), or ValueError is raised.
     """
     q = table.ring.q
     m = table.e.shape[1]
-    Y = _stack(y, m, rows)
+    Y = _stack(Y, m)
     # one unsigned compare: a negative int64 entry reads as 2^63 or more
     if (Y.view(np.uint64) >= q).any():
         raise ValueError(f"sample entries must lie in [0, {q})")
     i = Y @ q ** np.arange(m - 1, -1, -1)
-    failure = np.where(~_within(table.norm2[i], max_norm), 1, np.where(table.tied[i], 2, 0))
-    return _decoded(table.s[i], table.e[i], failure, rows)
+    path = np.where(~_within(table.norm2[i], max_norm), OVER_BOUND, np.where(table.tied[i], TIED, PRIMARY))
+    return table.s[i], table.e[i], path.astype(np.int8)
 
 
 def measure_decode_radius(
@@ -443,11 +436,8 @@ def measure_decode_radius(
             nrm = ring.norm(e)
             s = ring.uniform(rng, key.n)
             y = ring.reduce(ring.matmul(key.A, s) + e)
-            try:
-                s2, _ = invert(key, y, max_norm=nrm + 1e-9)
-                results.append((nrm, np.array_equal(s2, s)))
-            except DecodeFailure:
-                results.append((nrm, False))
+            S, _, path = invert(key, y[None], max_norm=nrm + 1e-9)
+            results.append((nrm, path[0] < OVER_BOUND and np.array_equal(S[0], s)))
     results.sort()
     radius = 0.0
     for nrm, ok in results:
@@ -481,6 +471,7 @@ def trapdoor_from_json(obj: dict) -> TrapdoorKey:
 
 __all__ = [
     "DecodeFailure",
+    "PATHS", "PRIMARY", "SINGLE", "PAIR", "OVER_BOUND", "TIED",
     "TrapdoorKey",
     "gen_trap",
     "invert",

@@ -1,5 +1,4 @@
 import copy
-import math
 
 import numpy as np
 import pytest
@@ -42,7 +41,7 @@ from clawrand.protocol import (
 )
 from clawrand.qsim import IdealProver, SimulatedProver
 from clawrand.rngstream import substream
-from clawrand.trapdoor import DecodeFailure, invert
+from clawrand.trapdoor import OVER_BOUND, PRIMARY, DecodeFailure
 
 
 def test_threshold_arithmetic_protocol1():
@@ -479,12 +478,10 @@ def _generation_cases(name):
     while "fallback" not in cases or "failed" not in cases:
         x = ring.uniform(rng, prof.n)
         y = ring.reduce(ring.matmul(key.public.A, x) + noise.sample_vec(rng, prof.m))
-        try:
-            s, _ = invert_sample(key, y)
-        except DecodeFailure:
+        path = invert_sample(key, y[None])[2][0]
+        if path >= OVER_BOUND:
             cases.setdefault("failed", (y, {"b": 0, "x": x}))
-            continue
-        if not np.array_equal(s, invert(key.gadget, y, max_norm=math.inf)[0]):
+        elif path != PRIMARY:
             cases.setdefault("fallback", (y, {"b": 0, "x": x}))
     return key, cases
 

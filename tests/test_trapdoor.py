@@ -14,6 +14,12 @@ from clawrand.trapdoor import (
     _block_decode_primary,
     _block_rows,
     _decode_data,
+    OVER_BOUND,
+    PAIR,
+    PATHS,
+    PRIMARY,
+    SINGLE,
+    TIED,
     DecodeFailure,
     TrapdoorKey,
     exhaustive_invert,
@@ -24,6 +30,13 @@ from clawrand.trapdoor import (
     trapdoor_from_json,
     trapdoor_to_json,
 )
+
+
+def _one(decode, key, y, max_norm):
+    """decode's row for the image y alone, decoded as a one-row stack:
+    (s, e, path)."""
+    S, E, path = decode(key, np.asarray(y)[None], max_norm)
+    return S[0], E[0], int(path[0])
 
 
 def test_gen_trap_shapes_and_identity():
@@ -49,8 +62,8 @@ def test_gen_trap_q2_zero_noise_round_trip(n, m):
         key = gen_trap(ring, n, m, rng)
         key.validate()
         s = ring.uniform(rng, n)
-        s_out, e_out = invert(key, ring.matmul(key.A, s), max_norm=0.0)
-        assert np.array_equal(s_out, s) and not e_out.any()
+        s_out, e_out, path = _one(invert, key, ring.matmul(key.A, s), 0.0)
+        assert np.array_equal(s_out, s) and not e_out.any() and path == PRIMARY
 
 
 def test_gen_trap_entry_uniformity():
@@ -85,24 +98,27 @@ def test_invert_zero_noise_exhaustive():
     ring = ModRing(13)
     rng = np.random.default_rng(2)
     key = gen_trap(ring, 1, 5, rng)
-    for s in range(13):
-        y = ring.matmul(key.A, [s])
-        s2, e2 = invert(key, y, max_norm=0.5)
-        assert s2[0] == s and not e2.any()
+    s = np.arange(13)[:, None]
+    S, E, path = invert(key, ring.matmul(s, key.A.T), max_norm=0.5)
+    assert np.array_equal(S, s) and not E.any() and not path.any()
 
 
 def test_invert_exhaustive_small_noise():
     ring = ModRing(13)
     rng = np.random.default_rng(3)
     key = gen_trap(ring, 1, 5, rng)
-    bound = math.sqrt(5.0)
-    for s in range(13):
-        base = ring.matmul(key.A, [s])
-        for e in itertools.product([-1, 0, 1], repeat=5):
-            y = ring.reduce(base + np.array(e))
-            s2, e2 = invert(key, y, max_norm=bound)
-            assert s2[0] == s
-            assert np.array_equal(e2, np.array(e))
+    # every s with every ternary noise, as one stack
+    s = np.repeat(np.arange(13), 3**5)[:, None]
+    e = np.tile(list(itertools.product([-1, 0, 1], repeat=5)), (13, 1))
+    S, E, path = invert(key, ring.reduce(ring.matmul(s, key.A.T) + e), max_norm=math.sqrt(5.0))
+    assert np.array_equal(S, s) and np.array_equal(E, e)
+    assert (path < OVER_BOUND).all()
+
+
+def _noisy_samples(ring, noise, rng, count, n, m):
+    # count secrets and centered noise vectors, drawn secret then noise
+    draws = [(ring.uniform(rng, n), ring.centered(noise.sample_vec(rng, m))) for _ in range(count)]
+    return np.array([s for s, _ in draws]), np.array([e for _, e in draws])
 
 
 def test_invert_roundtrip_with_sampled_noise():
@@ -110,16 +126,13 @@ def test_invert_roundtrip_with_sampled_noise():
     rng = np.random.default_rng(4)
     key = gen_trap(ring, 4, 20, rng)
     noise = TruncGaussian(ring, 1.0)
-    bound = 1.0 * math.sqrt(20)
-    for _ in range(2000):
-        s = ring.uniform(rng, 4)
-        e = ring.centered(noise.sample_vec(rng, 20))
-        y = ring.reduce(ring.matmul(key.A, s) + e)
-        s2, e2 = invert(key, y, max_norm=bound)
-        assert np.array_equal(s2, s)
-        assert np.array_equal(e2, e)
-        assert np.array_equal(ring.reduce(ring.matmul(key.A, s2) + e2), y)
-
+    s, e = _noisy_samples(ring, noise, rng, 2000, 4, 20)
+    Y = ring.reduce(ring.matmul(s, key.A.T) + e)
+    S, E, path = invert(key, Y, max_norm=1.0 * math.sqrt(20))
+    assert (path < OVER_BOUND).all()
+    assert np.array_equal(S, s)
+    assert np.array_equal(E, e)
+    assert np.array_equal(ring.reduce(ring.matmul(S, key.A.T) + E), Y)
 
 
 @pytest.mark.parametrize("q, n, m", [(16, 2, 12), (4096, 2, 30)])
@@ -129,36 +142,26 @@ def test_invert_roundtrip_at_power_of_two_modulus(q, n, m):
     ring = ModRing(q)
     rng = np.random.default_rng(4)
     key = gen_trap(ring, n, m, rng)
-    noise = TruncGaussian(ring, 1.0)
-    for _ in range(200):
-        s = ring.uniform(rng, n)
-        e = ring.centered(noise.sample_vec(rng, m))
-        s2, e2 = invert(key, ring.reduce(ring.matmul(key.A, s) + e), max_norm=math.sqrt(m))
-        assert np.array_equal(s2, s)
-        assert np.array_equal(e2, e)
+    s, e = _noisy_samples(ring, TruncGaussian(ring, 1.0), rng, 200, n, m)
+    S, E, path = invert(key, ring.reduce(ring.matmul(s, key.A.T) + e), max_norm=math.sqrt(m))
+    assert (path < OVER_BOUND).all()
+    assert np.array_equal(S, s)
+    assert np.array_equal(E, e)
 
 
 def test_invert_flags_uniform_garbage():
     ring = ModRing(13)
     rng = np.random.default_rng(5)
     key = gen_trap(ring, 4, 20, rng)
-    tight = 0
-    loose = 0
-    for _ in range(200):
-        y = ring.uniform(rng, 20)
-        try:
-            invert(key, y, max_norm=math.sqrt(20))
-        except DecodeFailure:
-            tight += 1
-        try:
-            s2, e2 = invert(key, y, max_norm=2.0 * math.sqrt(20))
-            # an accepted answer must still reproduce y exactly and meet the bound
-            assert np.array_equal(ring.reduce(ring.matmul(key.A, s2) + e2), y)
-            assert ring.norm(e2) <= 2.0 * math.sqrt(20)
-        except DecodeFailure:
-            loose += 1
-    assert tight == 200  # nothing uniform lands inside the branch support
-    assert loose >= 150  # rarely, garbage sits near the lattice; flagged otherwise
+    Y = np.array([ring.uniform(rng, 20) for _ in range(200)])
+    # nothing uniform lands inside the branch support
+    assert (invert(key, Y, max_norm=math.sqrt(20))[2] == OVER_BOUND).all()
+    S, E, path = invert(key, Y, max_norm=2.0 * math.sqrt(20))
+    ok = path < OVER_BOUND
+    # an accepted answer must still reproduce y exactly and meet the bound
+    assert np.array_equal(ring.reduce(ring.matmul(S[ok], key.A.T) + E[ok]), Y[ok])
+    assert (ring.norm(E[ok]) <= 2.0 * math.sqrt(20)).all()
+    assert (~ok).sum() >= 150  # rarely, garbage sits near the lattice; flagged otherwise
 
 
 def _table(ring, A):
@@ -169,12 +172,10 @@ def test_exhaustive_invert_micro():
     ring = ModRing(5)
     A = np.array([[1], [2]], dtype=np.int64)
     table = _table(ring, A)
-    for s in range(5):
-        y = ring.matmul(A, [s])
-        s2, e2 = exhaustive_invert(table, y, max_norm=1.3)
-        assert s2[0] == s and not e2.any()
-    with pytest.raises(DecodeFailure):
-        exhaustive_invert(table, np.array([2, 0]), max_norm=0.5)
+    s = np.arange(5)[:, None]
+    S, E, path = exhaustive_invert(table, ring.matmul(s, A.T), max_norm=1.3)
+    assert np.array_equal(S, s) and not E.any() and not path.any()
+    assert _one(exhaustive_invert, table, [2, 0], 0.5)[2] == OVER_BOUND
 
 
 def test_exhaustive_invert_returns_the_nearest_s_not_a_unique_one():
@@ -182,15 +183,17 @@ def test_exhaustive_invert_returns_the_nearest_s_not_a_unique_one():
     # both are within the bound, and the nearest is returned
     ring = ModRing(13)
     A = np.array([[1], [2]], dtype=np.int64)
-    s, e = exhaustive_invert(_table(ring, A), np.array([1, 2]), max_norm=3.0)
-    assert s.tolist() == [1] and e.tolist() == [0, 0]
+    s, e, path = _one(exhaustive_invert, _table(ring, A), [1, 2], 3.0)
+    assert s.tolist() == [1] and e.tolist() == [0, 0] and path == PRIMARY
 
 
-@pytest.mark.parametrize("y", [[1, 2, 3], [1], [[1, 2]]], ids=["long", "short", "nested"])
+@pytest.mark.parametrize(
+    "y", [[[1, 2, 3]], [[1]], [[[1, 2]]], [1, 2]], ids=["long", "short", "nested", "one-image"]
+)
 def test_exhaustive_invert_refuses_a_sample_of_the_wrong_shape(y):
     ring = ModRing(13)
     table = _table(ring, np.array([[1], [2]], dtype=np.int64))
-    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+    with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
         exhaustive_invert(table, y, max_norm=3.0)
 
 
@@ -204,7 +207,7 @@ def test_exhaustive_invert_refuses_entries_outside_the_residues(y):
     ring = ModRing(13)
     table = _table(ring, np.array([[1], [2]], dtype=np.int64))
     with pytest.raises(ValueError, match=r"\[0, 13\)"):
-        exhaustive_invert(table, y, max_norm=3.0)
+        exhaustive_invert(table, [y], max_norm=3.0)
 
 
 def _exhaustive_reference(ring, A, y, max_norm):
@@ -235,27 +238,26 @@ def test_image_table_matches_the_full_search(name, overrides):
     ring = prof.ring()
     rng = substream(23, "image-table", name, prof.n)
     bounds = (0.5, 1.3, _sample_noise_bound(prof), 10.0)
+    ys = residue_grid(prof.q, prof.m)
     kinds = set()
     for _ in range(5):
         key = gen(prof, rng)
-        for y in residue_grid(prof.q, prof.m):
-            for bound in bounds:
+        for bound in bounds:
+            S, E, path = exhaustive_invert(key.table, ys, bound)
+            kinds.update(path.tolist())
+            for y, s, e, code in zip(ys, S, E, path):
                 try:
                     want = _exhaustive_reference(ring, key.public.A, y, bound)
                 except DecodeFailure as exc:
-                    with pytest.raises(DecodeFailure) as got:
-                        exhaustive_invert(key.table, y, bound)
-                    assert str(got.value) == str(exc)
-                    kinds.add(str(exc))
+                    # the code names the reference's failure kind
+                    assert PATHS[code] == str(exc)
                     continue
-                got = exhaustive_invert(key.table, y, bound)
-                for a, b in zip(got, want):
+                assert code == PRIMARY
+                for a, b in zip((s, e), want):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
-                kinds.add("decoded")
-    assert {"decoded", "no candidate within the noise bound"} <= kinds, kinds
+    assert {PRIMARY, OVER_BOUND} <= kinds, kinds
     # the micro keys here leave no image with a tied minimum; the others do
-    tied = "ambiguous decode: tied minimal residuals" in kinds
-    assert tied == (prof != get_profile("micro"))
+    assert (TIED in kinds) == (prof != get_profile("micro"))
 
 
 def test_measured_radius_covers_profile_noise():
@@ -314,15 +316,14 @@ def test_invert_outcomes_pinned():
                     e = ring.centered(noise.sample_vec(rng, prof.m))
                     y = ring.reduce(ring.matmul(key.A, x) + e)
                     max_norm = max(bound, math.sqrt(float((e * e).sum())) + 1e-9)
-                    s_primary, _ = invert(key, y, max_norm=math.inf)
-                    try:
-                        s, e2 = invert(key, y, max_norm=max_norm)
-                    except DecodeFailure as exc:
+                    s, e2, path = _one(invert, key, y, max_norm)
+                    if path >= OVER_BOUND:
                         paths["failure"] += 1
-                        h.update(str(exc).encode("utf-8"))
+                        h.update(PATHS[path].encode("utf-8"))
                         continue
-                    moved = int((s != s_primary).sum())
-                    paths[("primary", "single", "pair")[moved]] += 1
+                    # a decoded row's code is the number of blocks it moved
+                    assert path == int((s != _one(invert, key, y, math.inf)[0]).sum())
+                    paths[("primary", "single", "pair")[path]] += 1
                     h.update(np.asarray(s, dtype="<i8").tobytes())
                     h.update(np.asarray(e2, dtype="<i8").tobytes())
     assert min(paths.values()) > 0, paths
@@ -331,19 +332,20 @@ def test_invert_outcomes_pinned():
 
 def _fallback_reference(key, y, max_norm):
     """The fallback search as per-block loops: the reference the batched
-    search in invert must match outcome for outcome."""
+    search in invert must match outcome for outcome.  It gives s and its
+    path: PRIMARY, SINGLE, PAIR, or (None, OVER_BOUND)."""
     ring, n, k = key.ring, key.n, key.ring.coord_bits
     g = ring.reduce(1 << np.arange(k, dtype=np.int64))
     tbl = ring.reduce(np.outer(np.arange(ring.q, dtype=np.int64), g))
     c = ring.reduce(key.R @ y[: key.mbar] + y[key.mbar :])
-    s_primary, e0 = invert(key, y, max_norm=math.inf)
+    s_primary, e0, _ = _one(invert, key, y, math.inf)
 
     def fits(e):
         e = ring.centered(e).astype(float)
         return math.sqrt(float((e * e).sum())) <= max_norm
 
     if fits(e0):
-        return s_primary
+        return s_primary, PRIMARY
     owners, values, rows = [], [], []
     per_block = [[] for _ in range(n)]
     blocks = ring.centered(c).reshape(n, k)
@@ -359,9 +361,9 @@ def _fallback_reference(key, y, max_norm):
         if fits(e0 + row):
             s = s_primary.copy()
             s[owners[i]] = values[i]
-            return s
+            return s, SINGLE
     if n > 8:
-        return None
+        return None, OVER_BOUND
     for i in range(n):
         for j in range(i + 1, n):
             for ci in per_block[i]:
@@ -369,8 +371,8 @@ def _fallback_reference(key, y, max_norm):
                     if fits(e0 + rows[ci] + rows[cj]):
                         s = s_primary.copy()
                         s[i], s[j] = values[ci], values[cj]
-                        return s
-    return None
+                        return s, PAIR
+    return None, OVER_BOUND
 
 
 @pytest.mark.parametrize("name,widths", [
@@ -400,17 +402,15 @@ def test_fallback_matches_loop_reference(name, widths):
                     e = ring.centered(noise.sample_vec(rng, prof.m))
                     y = ring.reduce(ring.matmul(key.A, x) + e)
                     max_norm = slack * max(bound, math.sqrt(float((e * e).sum()))) + 1e-9
-                    want = _fallback_reference(key, y, max_norm)
+                    want, stage = _fallback_reference(key, y, max_norm)
+                    s, _, path = _one(invert, key, y, max_norm)
+                    assert path == stage
                     if want is None:
                         paths["failure"] += 1
-                        with pytest.raises(DecodeFailure):
-                            invert(key, y, max_norm=max_norm)
                         continue
-                    s, _ = invert(key, y, max_norm=max_norm)
                     assert np.array_equal(s, want)
-                    moved = int((want != invert(key, y, max_norm=math.inf)[0]).sum())
-                    if moved:
-                        paths[("single", "pair")[moved - 1]] += 1
+                    if stage:
+                        paths[("single", "pair")[stage - 1]] += 1
     assert paths["single"] and paths["failure"], paths
     assert bool(paths["pair"]) == (prof.n <= 8), paths
 
@@ -425,9 +425,9 @@ def test_fallback_accepts_prefix_residual_at_the_bound():
     e = np.zeros(key.m, dtype=np.int64)
     e[key.mbar : key.mbar + 4] = (-2, 2, 2, -2)
     y = ring.reduce(e)
-    assert invert(key, y, max_norm=math.inf)[0].any()
-    s, e2 = invert(key, y, max_norm=4.0)
-    assert not s.any()
+    assert _one(invert, key, y, math.inf)[0].any()
+    s, e2, path = _one(invert, key, y, 4.0)
+    assert not s.any() and path == SINGLE
     assert np.array_equal(e2, e)
 
 
@@ -449,9 +449,9 @@ def test_fallback_checks_full_norm_of_prefix_survivors():
     e = np.zeros(m, dtype=np.int64)
     e[mbar + 4 : mbar + 8] = (3, 3, 3, -3)
     y = ring.reduce(e)
-    assert np.flatnonzero(invert(key, y, max_norm=math.inf)[0]).tolist() == [1]
-    s, e2 = invert(key, y, max_norm=6.0)
-    assert not s.any()
+    assert np.flatnonzero(_one(invert, key, y, math.inf)[0]).tolist() == [1]
+    s, e2, path = _one(invert, key, y, 6.0)
+    assert not s.any() and path == SINGLE
     assert np.array_equal(e2, e)
 
 
@@ -506,11 +506,8 @@ def test_decode_outcomes_do_not_depend_on_table_fill_order():
         _DECODE_CACHE.clear()
         out = {}
         for i in order:
-            try:
-                s, e = invert(key, ys[i], max_norm=bound)
-                out[i] = (s.tolist(), e.tolist())
-            except DecodeFailure as exc:
-                out[i] = str(exc)
+            s, e, path = _one(invert, key, ys[i], bound)
+            out[i] = (s.tolist(), e.tolist()) if path < OVER_BOUND else PATHS[path]
         return out
 
     forward = outcomes(range(len(ys)))
@@ -522,7 +519,8 @@ def test_decode_outcomes_do_not_depend_on_table_fill_order():
 @pytest.mark.parametrize("name,width", [("desk-small", 2.0), ("desk-medium", 6.0), ("desk-protocol", 1.0)])
 def test_invert_rows_match_one_image_decodes(name, width):
     # a stack of honest, wide-noise and uniform images decodes row by row
-    # to what invert gives each image alone; desk-medium has no block table
+    # to what invert gives each image alone, path code included (a failed
+    # row's S and E are its primary decode's); desk-medium has no block table
     from clawrand.clawfree import _sample_noise_bound
     from clawrand.profiles import get_profile
 
@@ -536,22 +534,20 @@ def test_invert_rows_match_one_image_decodes(name, width):
         noise = TruncGaussian(ring, w)
         ys += [ring.reduce(ring.matmul(key.A, ring.uniform(rng, prof.n)) + noise.sample_vec(rng, prof.m))
                for _ in range(20)]
-    S, E, ok = invert(key, np.stack(ys), max_norm=bound, rows=True)
-    for y, s, e, decoded in zip(ys, S, E, ok):
-        try:
-            want = invert(key, y, max_norm=bound)
-        except DecodeFailure:
-            assert not decoded
-            continue
-        assert decoded and np.array_equal(s, want[0]) and np.array_equal(e, want[1])
-    assert 0 < ok.sum() < len(ys)
+    S, E, path = invert(key, np.stack(ys), max_norm=bound)
+    for y, s, e, code in zip(ys, S, E, path):
+        want = _one(invert, key, y, bound)
+        assert np.array_equal(s, want[0]) and np.array_equal(e, want[1]) and code == want[2]
+    assert {PRIMARY, SINGLE, OVER_BOUND} <= set(path.tolist())
     with pytest.raises(ValueError, match=r"shape \(k, "):
-        invert(key, ys[0], max_norm=bound, rows=True)
+        invert(key, ys[0], max_norm=bound)
 
 
 def test_exhaustive_invert_rows_match_one_image_lookups():
     # every image of a micro-noisy key in one stack, at its bound: decoded
-    # rows, refusals over the bound and tied minima alike
+    # rows, refusals over the bound and tied minima alike, each row and its
+    # code as the image's lookup alone gives them, and a failed row's code
+    # as the full search's failure kind
     from clawrand.clawfree import _sample_noise_bound, gen
     from clawrand.profiles import get_profile
     from clawrand.rngstream import substream
@@ -559,20 +555,19 @@ def test_exhaustive_invert_rows_match_one_image_lookups():
     prof = get_profile("micro-noisy")
     key = gen(prof, substream(24, "exhaustive-rows"))
     ys = residue_grid(prof.q, prof.m)
-    failures = set()
+    codes = set()
     for bound in (1.3, _sample_noise_bound(prof)):
-        S, E, ok = exhaustive_invert(key.table, ys, bound, rows=True)
-        for y, s, e, decoded in zip(ys, S, E, ok):
-            try:
-                want = exhaustive_invert(key.table, y, bound)
-            except DecodeFailure as exc:
-                assert not decoded
-                failures.add(str(exc))
-                continue
-            assert decoded and np.array_equal(s, want[0]) and np.array_equal(e, want[1])
-    assert len(failures) == 2
+        S, E, path = exhaustive_invert(key.table, ys, bound)
+        for y, s, e, code in zip(ys, S, E, path):
+            want = _one(exhaustive_invert, key.table, y, bound)
+            assert np.array_equal(s, want[0]) and np.array_equal(e, want[1]) and code == want[2]
+            if code >= OVER_BOUND:
+                with pytest.raises(DecodeFailure, match=PATHS[code]):
+                    _exhaustive_reference(prof.ring(), key.public.A, y, bound)
+            codes.add(int(code))
+    assert codes == {PRIMARY, OVER_BOUND, TIED}
     with pytest.raises(ValueError, match=r"\[0, 13\)"):
-        exhaustive_invert(key.table, np.vstack([ys[:2], [[0, 13]]]), 1.3, rows=True)
+        exhaustive_invert(key.table, np.vstack([ys[:2], [[0, 13]]]), 1.3)
 
 
 def _micro_keypair(A):
