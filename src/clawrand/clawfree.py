@@ -50,7 +50,6 @@ from .trapdoor import (
     TrapdoorKey,
     exhaustive_invert,
     gen_trap,
-    image_table,
     invert,
     trapdoor_from_json,
     trapdoor_to_json,
@@ -62,8 +61,9 @@ class PublicKey:
     profile: ParameterProfile
     A: np.ndarray  # (m, n)
     u: np.ndarray  # (m,)
-    # A^T as a float_operand copy, for exact_matmul: the trapdoor's own
-    # copy when gen makes the key, else made here
+    # A^T as a float_operand copy for exact_matmul, made here unless given:
+    # the one derived input a key object takes.  gen passes the trapdoor's
+    # copy, as converting A again took a desk-protocol gen from 149 to 155 us
     AT: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -85,22 +85,21 @@ class KeyPair:
     The secret bits and the key noise are recovered at generation time and
     cached here: inversion of branch 1 needs s itself, not just the
     lattice trapdoor.  gadget is None for micro shapes (m < w + n); there
-    table holds the exhaustive decode of every image, made with the key
-    (by gen from the image grid it has already built, else from A here)
-    and dropped with it.  A key of a gadget shape without its gadget
-    would need a search past the grid guard, and raises SizeGuardError.
+    table holds the exhaustive decode of every image, ImageTable(ring, A),
+    made with the key and dropped with it.  A key of a gadget shape
+    without its gadget would need a search past the grid guard, and
+    raises SizeGuardError.
     """
 
     public: PublicKey
     gadget: TrapdoorKey | None
     s_bits: np.ndarray  # (n,) in {0,1}
     e: np.ndarray  # (m,) centered representatives
-    table: ImageTable | None = field(default=None, repr=False, compare=False)
+    table: ImageTable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.gadget is None and self.table is None:
-            A = self.public.A
-            object.__setattr__(self, "table", image_table(self.ring, A, _image_grid(self.ring, A)))
+        table = None if self.gadget is not None else ImageTable(self.ring, self.public.A)
+        object.__setattr__(self, "table", table)
 
     @property
     def profile(self) -> ParameterProfile:
@@ -134,16 +133,12 @@ def invert_sample(key: KeyPair, Y):
     return exhaustive_invert(key.table, Y, max_norm=bound)
 
 
-def _image_grid(ring: ModRing, A: np.ndarray) -> np.ndarray:
-    # A*s, unreduced, for every s in Z_q^n in residue_grid order; only
-    # built for micro shapes where q^n is tiny
-    return residue_grid(ring.q, A.shape[1]) @ A.T
-
-
-def _min_claw_distance(ring: ModRing, images: np.ndarray) -> float:
-    # smallest image distance between distinct points: row 0 of the image
-    # grid is s = 0, so the other rows are the images of all nonzero deltas
-    img = ring.centered(images[1:]).astype(float)
+def _min_claw_distance(ring: ModRing, A: np.ndarray) -> float:
+    # smallest image distance between distinct points, from the image grid
+    # A*s for every s in Z_q^n in residue_grid order, only built for micro
+    # shapes where q^n is tiny: row 0 is s = 0, so the other rows are the
+    # images of all nonzero deltas
+    img = ring.centered((residue_grid(ring.q, A.shape[1]) @ A.T)[1:]).astype(float)
     return float(np.sqrt((img * img).sum(axis=1)).min())
 
 
@@ -155,23 +150,20 @@ def gen(profile: ParameterProfile, rng: np.random.Generator) -> KeyPair:
         if profile.uses_gadget:
             gadget = gen_trap(ring, profile.n, profile.m, rng)
             A, AT = gadget.A, gadget.AT
-            table = None
         else:
             gadget = None
             A = ring.uniform(rng, (profile.m, profile.n))
-            images = _image_grid(ring, A)
             # at micro scale a constant fraction of A are geometrically
             # degenerate (colliding branch supports); those draws are not
             # valid keys, so reject and redraw
-            if _min_claw_distance(ring, images) <= 2 * profile.B_P * math.sqrt(profile.m):
+            if _min_claw_distance(ring, A) <= 2 * profile.B_P * math.sqrt(profile.m):
                 continue
-            table = image_table(ring, A, images)
             AT = float_operand(A.T)
         s_bits = rng.integers(0, 2, size=profile.n, dtype=np.int64)
         e = ring.centered(noise.sample_vec(rng, profile.m))
         # one reduction of the whole sum, as in sample_branch
         u = ring.reduce(exact_matmul(s_bits, AT) + e)
-        key = KeyPair(PublicKey(profile, A, u, AT), gadget, s_bits, e, table)
+        key = KeyPair(PublicKey(profile, A, u, AT), gadget, s_bits, e)
         S0, E0, path = invert_sample(key, u[None])
         if path[0] < OVER_BOUND and np.array_equal(S0[0], s_bits) and np.array_equal(E0[0], e):
             return key

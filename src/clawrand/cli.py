@@ -66,6 +66,8 @@ EXIT_IO = 3
 EXIT_PROTOCOL = 4
 EXIT_GUARD = 5
 
+_SINGLE_ROUND_TRIALS = 10000
+
 
 class ConfigError(Exception):
     pass
@@ -143,6 +145,12 @@ def _build_prover(mode: str, kind: str, seed: int):
 
 
 def cmd_run(args) -> int:
+    # an option the mode ignores is refused rather than dropped
+    if args.mode == "single-round":
+        if args.rounds is not None or args.transcript is not None:
+            raise ConfigError("--rounds and --transcript apply to protocol1 and protocol2, not single-round")
+    elif args.trials is not None:
+        raise ConfigError(f"--trials applies to single-round only, not {args.mode}")
     profile = _profile(args.profile)
     _ring(profile)
     if profile.violated():
@@ -150,7 +158,7 @@ def cmd_run(args) -> int:
     rng = substream(args.seed, "verifier", args.mode)
     prover = _build_prover(args.mode, args.prover, args.seed)
     if args.mode == "single-round":
-        report = single_round_test(profile, prover, args.trials, rng)
+        report = single_round_test(profile, prover, args.trials or _SINGLE_ROUND_TRIALS, rng)
         _emit(
             {
                 "mode": "single-round",
@@ -393,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="protocol1", choices=["protocol1", "protocol2", "single-round"])
     p.add_argument("--prover", default="ideal")
     p.add_argument("--rounds", type=_positive_int, default=None, help="override the profile's round count")
-    p.add_argument("--trials", type=_positive_int, default=10000, help="single-round trials")
+    p.add_argument("--trials", type=_positive_int, default=None, help=f"single-round trials (default {_SINGLE_ROUND_TRIALS})")
     p.add_argument("--transcript", default=None, help="JSONL transcript path")
     p.add_argument("--summary", default=None, help="summary JSON path (default stdout)")
     p.set_defaults(fn=cmd_run)

@@ -28,7 +28,7 @@ class TruncGaussian:
 
     ring: ModRing
     B: float
-    _table: dict = field(default_factory=dict, repr=False, compare=False)
+    _table: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.B <= 0:

@@ -28,22 +28,24 @@ block table, filled row by row the first time a block is met, so a
 decode gathers its n rows in one lookup.  The table is a cache of that
 computation, so every outcome is the one it gives.
 
-A key holds no decode state but one: a float64 copy of each matrix a
-decode multiplies by, A^T and R^T, made once with the key.  numpy has no
-BLAS path for int64, so the decode's two products run in float64 through
-modq.exact_matmul, which is exact for residues; converting the operands
-on every call would make a one-row decode slower than int64, and one
-copy a key does not.  A fallback search builds its candidates' prefix
-rows from A itself.
+A key is built from (Abar, R) alone and derives the rest once: A, the one
+computation of the block identity, and its one piece of decode state, a
+float64 copy of each matrix a decode multiplies by, A^T and R^T.  numpy
+has no BLAS path for int64, so the decode's two products run in float64
+through modq.exact_matmul, which is exact for residues; converting the
+operands on every call would make a one-row decode slower than int64,
+and one copy a key does not.  A fallback search builds its candidates'
+prefix rows from A itself.
 
 Micro shapes (m < w + n) have no gadget and are inverted by a full search
-over s in Z_q^n.  Its answer depends only on A and the image, so
-image_table runs it once per A for all q^m images, in integer arithmetic,
-and exhaustive_invert looks the image up.
+over s in Z_q^n.  Its answer depends only on A and the image, so an
+ImageTable, built from (ring, A), runs it once for all q^m images, in
+integer arithmetic, and exhaustive_invert looks the image up.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,21 +90,27 @@ PRIMARY, SINGLE, PAIR, OVER_BOUND, TIED = range(len(PATHS))
 
 @dataclass(frozen=True)
 class TrapdoorKey:
+    """The trapdoor R of A = [Abar; G - R*Abar], built from (Abar, R): A is
+    made with one float64 product through a contiguous copy of R, whose
+    transpose is the decode's R^T."""
+
     ring: ModRing
-    A: np.ndarray  # (m, n) residues
-    R: np.ndarray  # (w, m - w) entries in {-1, 0, 1}
-    mbar: int
-    # float64 copies for exact_matmul, made with the key unless given: A^T
-    # contiguous, and R^T as the transpose of a contiguous copy of R, the
-    # copy gen_trap makes to compute R*Abar
-    AT: np.ndarray = field(default=None, repr=False, compare=False)
-    RT: np.ndarray = field(default=None, repr=False, compare=False)
+    Abar: np.ndarray  # (mbar, n) residues
+    R: np.ndarray  # (w, mbar) entries in {-1, 0, 1}
+    A: np.ndarray = field(init=False, repr=False, compare=False)  # (m, n) residues
+    AT: np.ndarray = field(init=False, repr=False, compare=False)
+    RT: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.AT is None:
-            object.__setattr__(self, "AT", float_operand(self.A.T))
-        if self.RT is None:
-            object.__setattr__(self, "RT", float_operand(self.R).T)
+        ring, Rf = self.ring, float_operand(self.R)
+        A = np.vstack([self.Abar, ring.reduce(gadget_matrix(ring, self.n) - exact_matmul(Rf, self.Abar))])
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "AT", float_operand(A.T))
+        object.__setattr__(self, "RT", Rf.T)
+
+    @property
+    def mbar(self) -> int:
+        return self.Abar.shape[0]
 
     @property
     def m(self) -> int:
@@ -110,26 +118,11 @@ class TrapdoorKey:
 
     @property
     def n(self) -> int:
-        return self.A.shape[1]
+        return self.Abar.shape[1]
 
     @property
     def w(self) -> int:
         return self.n * self.ring.coord_bits
-
-    def validate(self):
-        """Raise ValueError unless the layout, R's entries and the block
-        identity A = [Abar; G - R*Abar] hold.  Only trapdoor_from_json
-        calls it, for the secret-key loader that the tests use."""
-        if not 1 <= self.mbar < self.m or self.R.shape != (self.m - self.mbar, self.mbar):
-            raise ValueError("trapdoor layout needs 1 <= mbar < m and R of shape (m - mbar, mbar)")
-        G = gadget_matrix(self.ring, self.n)
-        top = self.A[: self.mbar]
-        bottom = self.A[self.mbar :]
-        expect = self.ring.reduce(G - self.R @ top)
-        if not np.array_equal(bottom, expect):
-            raise ValueError("trapdoor block identity A = [Abar; G - R*Abar] violated")
-        if np.any(np.abs(self.R) > 1):
-            raise ValueError("R entries must lie in {-1, 0, 1}")
 
 
 def gen_trap(ring: ModRing, n: int, m: int, rng: np.random.Generator) -> TrapdoorKey:
@@ -137,17 +130,12 @@ def gen_trap(ring: ModRing, n: int, m: int, rng: np.random.Generator) -> Trapdoo
     w = n * ring.coord_bits
     if m < w + n:
         raise ValueError(f"m = {m} too small: need m >= w + n = {w + n}")
-    mbar = m - w
-    Abar = ring.uniform(rng, (mbar, n))
-    R = rng.integers(-1, 2, size=(w, mbar), dtype=np.int64)
-    Rf = float_operand(R)
-    A = np.vstack([Abar, ring.reduce(gadget_matrix(ring, n) - exact_matmul(Rf, Abar))])
-    return TrapdoorKey(ring=ring, A=A, R=R, mbar=mbar, RT=Rf.T)
+    Abar = ring.uniform(rng, (m - w, n))
+    R = rng.integers(-1, 2, size=(w, m - w), dtype=np.int64)
+    return TrapdoorKey(ring, Abar, R)
 
 
 # -- gadget-lattice decode structures, cached per modulus ------------------
-
-_DECODE_CACHE: dict[int, dict] = {}
 
 
 def _perp_basis(q: int, k: int) -> np.ndarray:
@@ -161,11 +149,9 @@ def _perp_basis(q: int, k: int) -> np.ndarray:
     return S
 
 
+@functools.lru_cache(maxsize=16)
 def _decode_data(ring: ModRing) -> dict:
     q = ring.q
-    data = _DECODE_CACHE.get(q)
-    if data is not None:
-        return data
     k = ring.coord_bits
     S = _perp_basis(q, k)
     # basis of the primal gadget lattice {t*g mod q} + q*Z^k, integral
@@ -189,7 +175,6 @@ def _decode_data(ring: ModRing) -> dict:
         # _block_rows' row for that block, or -1 until it is first met
         data["table"] = np.full((q**k, 1 + min(_FALLBACK_LIST, q)), -1, dtype=np.int8)
         data["place"] = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    _DECODE_CACHE[q] = data
     return data
 
 
@@ -289,8 +274,9 @@ def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
     # SINGLE or PAIR, or (None, OVER_BOUND).
     q = key.ring.q
     sq = data["sq"]
-    owner, rank = np.nonzero(ranked != s_primary[:, None])
-    value = ranked[owner, rank]
+    is_cand = ranked != s_primary[:, None]
+    owner = np.nonzero(is_cand)[0]
+    value = ranked[is_cand]
     # the column delta (s_primary[j] - t) * A[:, j] mod q of a candidate
     # is step * A[:, j]: its prefix rows are built for every candidate,
     # the rest for prefix survivors only
@@ -312,11 +298,14 @@ def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
         return s, SINGLE
     if key.n > _FALLBACK_PAIR_MAX_N:
         return None, OVER_BOUND
-    a, b = np.triu_indices(owner.size, 1)
-    distinct = owner[a] != owner[b]
-    a, b = a[distinct], b[distinct]
-    order = np.lexsort((b, a, owner[b], owner[a]))
-    a, b = a[order], b[order]
+    # the pairs of candidates (j1, r1), (j2, r2) of blocks j1 < j2 are the
+    # nonzeros of pairs, which C order lists in (block, block, candidate,
+    # candidate) order; index numbers each candidate as owner lists it
+    index = (np.cumsum(is_cand) - 1).reshape(is_cand.shape)
+    j = np.arange(key.n)
+    pairs = (j[:, None] < j)[:, :, None, None] & is_cand[:, None, :, None] & is_cand[None, :, None, :]
+    j1, j2, r1, r2 = np.nonzero(pairs)
+    a, b = index[j1, r1], index[j2, r2]
 
     def pair_tail(live):
         return tail(a[live]) + tail(b[live]) + r0[p:]
@@ -351,48 +340,44 @@ def _first_within(sq, head, tail, max_norm):
 @dataclass(frozen=True)
 class ImageTable:
     """Exhaustive decode of every image under one public A, for micro
-    shapes without a gadget trapdoor (m < w + n).
+    shapes without a gadget trapdoor (m < w + n), built from (ring, A).
 
     Row i is for the image y of index i in residue_grid(q, m) order, the
     first coordinate most significant: the s in Z_q^n, first in
     residue_grid order, whose residual y - A*s has the least centered
     norm, that residual, its squared norm, and whether another s attains
-    the same norm."""
+    the same norm.  The search covers q^(n+m) pairs (s, y): the image grid
+    is bounded by residue_grid's guard on q^n, and past the state-space
+    guard 2*q^(n+m) <= MAX_GRID that qsim also keeps, SizeGuardError is
+    raised before the table's arrays are allocated."""
 
     ring: ModRing
-    s: np.ndarray  # (q^m, n) residues
-    e: np.ndarray  # (q^m, m) centered
-    norm2: np.ndarray  # (q^m,) squared norm of e
-    tied: np.ndarray  # (q^m,) bool
+    A: np.ndarray  # (m, n) residues
+    s: np.ndarray = field(init=False, repr=False, compare=False)  # (q^m, n) residues
+    e: np.ndarray = field(init=False, repr=False, compare=False)  # (q^m, m) centered
+    norm2: np.ndarray = field(init=False, repr=False, compare=False)  # (q^m,) squared norm of e
+    tied: np.ndarray = field(init=False, repr=False, compare=False)  # (q^m,) bool
 
-
-def image_table(ring: ModRing, A: np.ndarray, images: np.ndarray) -> ImageTable:
-    """The ImageTable of A, from its image grid images = residue_grid(q, n)
-    @ A.T (unreduced).  The search covers q^(n+m) pairs (s, y); a shape
-    past the state-space guard 2*q^(n+m) <= MAX_GRID that qsim also keeps
-    raises SizeGuardError before the table's arrays are allocated.  The
-    image grid itself is bounded by residue_grid's guard on q^n."""
-    q = ring.q
-    m, n = A.shape
-    if 2 * q ** (n + m) > MAX_GRID:
-        raise SizeGuardError(f"image table 2*q^(n+m) = {2 * q ** (n + m)} exceeds {MAX_GRID}")
-    # c[t, s, j] is t - (A*s)_j centered, for every value t of a coordinate
-    c = ring.centered(np.arange(q)[:, None, None] - images[None])
-    sq = c * c
-    # norm2[y, s] = |y - A*s|^2 with y in residue_grid order: an outer sum
-    # of the coordinates' squared residues, first coordinate outermost
-    norm2 = sq[:, :, 0]
-    for j in range(1, m):
-        norm2 = (norm2[:, None, :] + sq[None, :, :, j]).reshape(-1, q**n)
-    best = norm2.argmin(axis=1)
-    least = norm2[np.arange(q**m), best]
-    return ImageTable(
-        ring=ring,
-        s=residue_grid(q, n)[best],
-        e=c[residue_grid(q, m), best[:, None], np.arange(m)],
-        norm2=least,
-        tied=(norm2 == least[:, None]).sum(axis=1) > 1,
-    )
+    def __post_init__(self):
+        ring, q = self.ring, self.ring.q
+        m, n = self.A.shape
+        grid = residue_grid(q, n)
+        if 2 * q ** (n + m) > MAX_GRID:
+            raise SizeGuardError(f"image table 2*q^(n+m) = {2 * q ** (n + m)} exceeds {MAX_GRID}")
+        # c[t, s, j] is t - (A*s)_j centered, for every value t of a coordinate
+        c = ring.centered(np.arange(q)[:, None, None] - (grid @ self.A.T)[None])
+        sq = c * c
+        # norm2[y, s] = |y - A*s|^2 with y in residue_grid order: an outer sum
+        # of the coordinates' squared residues, first coordinate outermost
+        norm2 = sq[:, :, 0]
+        for j in range(1, m):
+            norm2 = (norm2[:, None, :] + sq[None, :, :, j]).reshape(-1, q**n)
+        best = norm2.argmin(axis=1)
+        least = norm2[np.arange(q**m), best]
+        object.__setattr__(self, "s", grid[best])
+        object.__setattr__(self, "e", c[residue_grid(q, m), best[:, None], np.arange(m)])
+        object.__setattr__(self, "norm2", least)
+        object.__setattr__(self, "tied", (norm2 == least[:, None]).sum(axis=1) > 1)
 
 
 def exhaustive_invert(table: ImageTable, Y, max_norm: float):
@@ -459,13 +444,20 @@ def trapdoor_to_json(key: TrapdoorKey) -> dict:
 
 
 def trapdoor_from_json(obj: dict) -> TrapdoorKey:
-    """Load and validate a trapdoor.  Only the tests call it, through
-    clawfree.keypair_from_json, which is kept as the checked reader of
-    what `keygen --secret-out` writes."""
+    """Load a trapdoor, raising ValueError unless its layout holds, its A
+    is the one Abar = A[:mbar] and R make, and R is ternary.  Only the
+    tests call it, through clawfree.keypair_from_json, which is kept as
+    the checked reader of what `keygen --secret-out` writes."""
     ring, A = mat_from_json(obj["A"])
     R = int_mat_from_json(obj["R"])
-    key = TrapdoorKey(ring=ring, A=A, R=R, mbar=exact_int(obj["layout"]["mbar"]))
-    key.validate()
+    mbar = exact_int(obj["layout"]["mbar"])
+    if not 1 <= mbar < A.shape[0] or R.shape != (A.shape[0] - mbar, mbar):
+        raise ValueError("trapdoor layout needs 1 <= mbar < m and R of shape (m - mbar, mbar)")
+    key = TrapdoorKey(ring, A[:mbar], R)
+    if not np.array_equal(key.A, A):
+        raise ValueError("trapdoor block identity A = [Abar; G - R*Abar] violated")
+    if np.any(np.abs(R) > 1):
+        raise ValueError("R entries must lie in {-1, 0, 1}")
     return key
 
 
@@ -476,7 +468,6 @@ __all__ = [
     "gen_trap",
     "invert",
     "ImageTable",
-    "image_table",
     "exhaustive_invert",
     "measure_decode_radius",
     "trapdoor_to_json",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from clawrand.clawfree import (
+    KeyPair,
     chk,
     claw_equation_bit,
     claw_from_image,
@@ -29,11 +30,11 @@ from clawrand.clawfree import (
     public_key_to_json,
     secret_mask,
 )
-from clawrand.gaussians import shifted_hellinger_bound
+from clawrand.gaussians import TruncGaussian, shifted_hellinger_bound
 from clawrand.modq import MAX_Q, ModRing, SizeGuardError, vec_to_json
 from clawrand.profiles import get_profile
 from clawrand.rngstream import substream
-from clawrand.trapdoor import DecodeFailure
+from clawrand.trapdoor import DecodeFailure, ImageTable, TrapdoorKey, trapdoor_to_json
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +162,7 @@ def test_density_shift_hellinger_bound():
     rng = substream(17, "noisy")
     ring = ModRing(5)
     # build the key directly: A uniform, nonzero e
-    from clawrand.clawfree import KeyPair, PublicKey
+    from clawrand.clawfree import PublicKey
 
     A = ring.uniform(rng, (2, 1))
     s = np.array([1], dtype=np.int64)
@@ -590,6 +591,19 @@ def _tamper_mbar(obj, key):
     obj["trapdoor"]["layout"]["mbar"] = -obj["trapdoor"]["R"]["rows"]
 
 
+def _tamper_trapdoor_A(obj, key):
+    # the last gadget row of the trapdoor's A, off the A its Abar and R make
+    data = obj["trapdoor"]["A"]["data"]
+    data[-1] = (data[-1] + 1) % key.ring.q
+
+
+def _tamper_R_entry(obj, key):
+    # R with an entry of 2, and A rebuilt from it, so only R's entries fail
+    R = key.gadget.R.copy()
+    R[0, 0] = 2
+    obj["trapdoor"] = trapdoor_to_json(TrapdoorKey(key.ring, key.gadget.Abar, R))
+
+
 @pytest.mark.parametrize(
     "tamper, exc, message",
     [
@@ -609,10 +623,12 @@ def _tamper_mbar(obj, key):
         (_tamper_R_rows, ValueError, "declared shape"),
         (_tamper_R_cols, ValueError, "declared shape"),
         (_tamper_mbar, ValueError, "1 <= mbar < m"),
+        (_tamper_trapdoor_A, ValueError, "block identity"),
+        (_tamper_R_entry, ValueError, "R entries"),
     ],
     ids=[
         "s", "e", "u", "trapdoor", "no-trapdoor", "q", "s-fraction", "A-fraction", "q-fraction", "R-fraction", "wide-int",
-        "R-rows", "R-cols", "mbar",
+        "R-rows", "R-cols", "mbar", "trapdoor-A", "R-entry",
     ],
 )
 def test_keypair_from_json_rejects_tampered_field(desk_key, tamper, exc, message):
@@ -620,3 +636,20 @@ def test_keypair_from_json_rejects_tampered_field(desk_key, tamper, exc, message
     tamper(obj, desk_key)
     with pytest.raises(exc, match=message):
         keypair_from_json(obj, desk_key.profile)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda desk, micro: TrapdoorKey(desk.ring, desk.gadget.Abar, desk.gadget.R, A=desk.gadget.A),
+        lambda desk, micro: ImageTable(micro.ring, micro.public.A, s=micro.table.s),
+        lambda desk, micro: KeyPair(micro.public, None, micro.s_bits, micro.e, table=micro.table),
+        lambda desk, micro: TruncGaussian(desk.ring, desk.profile.B_P, _table={}),
+    ],
+    ids=["TrapdoorKey-A", "ImageTable-s", "KeyPair-table", "TruncGaussian-table"],
+)
+def test_key_objects_refuse_a_derived_field(desk_key, micro_key, build):
+    # each key object is built from its defining inputs, and derives the
+    # rest itself: a derived value cannot be passed in, so none can disagree
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        build(desk_key, micro_key)

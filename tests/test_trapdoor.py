@@ -9,7 +9,6 @@ import scipy.stats
 from clawrand.gaussians import TruncGaussian
 from clawrand.modq import ModRing, SizeGuardError, gadget_matrix, residue_grid
 from clawrand.trapdoor import (
-    _DECODE_CACHE,
     _FALLBACK_PREFIX,
     _block_decode_primary,
     _block_rows,
@@ -21,10 +20,10 @@ from clawrand.trapdoor import (
     SINGLE,
     TIED,
     DecodeFailure,
+    ImageTable,
     TrapdoorKey,
     exhaustive_invert,
     gen_trap,
-    image_table,
     invert,
     measure_decode_radius,
     trapdoor_from_json,
@@ -45,7 +44,6 @@ def test_gen_trap_shapes_and_identity():
     key = gen_trap(ring, 2, 12, rng)
     assert key.A.shape == (12, 2)
     assert key.w == 8 and key.mbar == 4
-    key.validate()  # reconstructs the gadget block exactly
 
 
 def test_gen_trap_rejects_small_m():
@@ -60,7 +58,6 @@ def test_gen_trap_q2_zero_noise_round_trip(n, m):
     rng = np.random.default_rng(2)
     for _ in range(50):
         key = gen_trap(ring, n, m, rng)
-        key.validate()
         s = ring.uniform(rng, n)
         s_out, e_out, path = _one(invert, key, ring.matmul(key.A, s), 0.0)
         assert np.array_equal(s_out, s) and not e_out.any() and path == PRIMARY
@@ -164,14 +161,10 @@ def test_invert_flags_uniform_garbage():
     assert (~ok).sum() >= 150  # rarely, garbage sits near the lattice; flagged otherwise
 
 
-def _table(ring, A):
-    return image_table(ring, A, residue_grid(ring.q, A.shape[1]) @ A.T)
-
-
 def test_exhaustive_invert_micro():
     ring = ModRing(5)
     A = np.array([[1], [2]], dtype=np.int64)
-    table = _table(ring, A)
+    table = ImageTable(ring, A)
     s = np.arange(5)[:, None]
     S, E, path = exhaustive_invert(table, ring.matmul(s, A.T), max_norm=1.3)
     assert np.array_equal(S, s) and not E.any() and not path.any()
@@ -183,7 +176,7 @@ def test_exhaustive_invert_returns_the_nearest_s_not_a_unique_one():
     # both are within the bound, and the nearest is returned
     ring = ModRing(13)
     A = np.array([[1], [2]], dtype=np.int64)
-    s, e, path = _one(exhaustive_invert, _table(ring, A), [1, 2], 3.0)
+    s, e, path = _one(exhaustive_invert, ImageTable(ring, A), [1, 2], 3.0)
     assert s.tolist() == [1] and e.tolist() == [0, 0] and path == PRIMARY
 
 
@@ -192,7 +185,7 @@ def test_exhaustive_invert_returns_the_nearest_s_not_a_unique_one():
 )
 def test_exhaustive_invert_refuses_a_sample_of_the_wrong_shape(y):
     ring = ModRing(13)
-    table = _table(ring, np.array([[1], [2]], dtype=np.int64))
+    table = ImageTable(ring, np.array([[1], [2]], dtype=np.int64))
     with pytest.raises(ValueError, match=r"shape \(k, 2\)"):
         exhaustive_invert(table, y, max_norm=3.0)
 
@@ -205,7 +198,7 @@ def test_exhaustive_invert_refuses_a_sample_of_the_wrong_shape(y):
 def test_exhaustive_invert_refuses_entries_outside_the_residues(y):
     # (14, 15) would decode as (1, 2) mod 13
     ring = ModRing(13)
-    table = _table(ring, np.array([[1], [2]], dtype=np.int64))
+    table = ImageTable(ring, np.array([[1], [2]], dtype=np.int64))
     with pytest.raises(ValueError, match=r"\[0, 13\)"):
         exhaustive_invert(table, [y], max_norm=3.0)
 
@@ -441,11 +434,8 @@ def test_fallback_checks_full_norm_of_prefix_survivors():
     rng = np.random.default_rng(2)
     Abar = ring.uniform(rng, (mbar, n))
     Abar[:_FALLBACK_PREFIX] = 0
-    R = rng.integers(-1, 2, size=(w, mbar))
-    A = np.vstack([Abar, ring.reduce(gadget_matrix(ring, n) - R @ Abar)])
-    key = TrapdoorKey(ring=ring, A=A, R=R, mbar=mbar)
-    key.validate()
-    assert not A[:_FALLBACK_PREFIX].any()
+    key = TrapdoorKey(ring, Abar, rng.integers(-1, 2, size=(w, mbar)))
+    assert not key.A[:_FALLBACK_PREFIX].any()
     e = np.zeros(m, dtype=np.int64)
     e[mbar + 4 : mbar + 8] = (3, 3, 3, -3)
     y = ring.reduce(e)
@@ -472,7 +462,7 @@ def test_block_table_matches_direct_decode(q):
     # block's index holds its nearest-plane value and its ranked codewords
     ring = ModRing(q)
     k = ring.coord_bits
-    _DECODE_CACHE.pop(q, None)
+    _decode_data.cache_clear()
     data = _decode_data(ring)
     grid = residue_grid(q, k)
     rows = _block_rows(ring, data, grid.reshape(-1))
@@ -503,7 +493,7 @@ def test_decode_outcomes_do_not_depend_on_table_fill_order():
     bound = max(_sample_noise_bound(prof), math.sqrt(prof.m))
 
     def outcomes(order):
-        _DECODE_CACHE.clear()
+        _decode_data.cache_clear()
         out = {}
         for i in order:
             s, e, path = _one(invert, key, ys[i], bound)
@@ -596,6 +586,6 @@ def test_image_table_refuses_a_shape_past_the_state_guard():
     ring = ModRing(5)
     A = ring.uniform(np.random.default_rng(0), (9, 1))
     with pytest.raises(SizeGuardError, match="image table"):
-        _table(ring, A)
+        ImageTable(ring, A)
     with pytest.raises(SizeGuardError, match="image table"):
         _micro_keypair(A)

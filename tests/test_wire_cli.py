@@ -334,6 +334,11 @@ CLI_MATRIX = [
     (["run", "--mode", "protocol1", "--rounds", "-3"], USAGE),
     (["run", "--mode", "single-round", "--trials", "0"], USAGE),
     (["serve", "--transport", "stdio", "--rounds", "0"], USAGE),
+    # an option the run's mode ignores
+    (["run", "--mode", "single-round", "--rounds", "5"], 2),
+    (["run", "--mode", "single-round", "--transcript", "{tmp}/t.jsonl"], 2),
+    (["run", "--mode", "protocol1", "--trials", "5"], 2),
+    (["run", "--mode", "protocol2", "--prover", "device-constant", "--trials", "5"], 2),
     # more out-of-range ports, seeds and rates
     (["serve", "--port", "70000"], USAGE),
     (["serve", "--port", "-1"], USAGE),
