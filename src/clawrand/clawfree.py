@@ -48,6 +48,7 @@ from .trapdoor import (
     DecodeFailure,
     ImageTable,
     TrapdoorKey,
+    _nearest_plane,
     exhaustive_invert,
     gen_trap,
     invert,
@@ -143,7 +144,9 @@ def _min_claw_distance(ring: ModRing, A: np.ndarray) -> float:
 
 
 def gen(profile: ParameterProfile, rng: np.random.Generator) -> KeyPair:
-    """Sample a key pair and verify the trapdoor inverts its own image."""
+    """Sample a key pair and verify the trapdoor inverts its own image u:
+    a draw is kept when the decode of u gives back s.  At a gadget shape
+    the full decode runs only where the nearest-plane answer is not s."""
     ring = profile.ring()
     noise = profile.noise_dist(profile.B_V)
     for _ in range(_KEYGEN_RETRIES):
@@ -164,8 +167,16 @@ def gen(profile: ParameterProfile, rng: np.random.Generator) -> KeyPair:
         # one reduction of the whole sum, as in sample_branch
         u = ring.reduce(exact_matmul(s_bits, AT) + e)
         key = KeyPair(PublicKey(profile, A, u, AT), gadget, s_bits, e)
-        S0, E0, path = invert_sample(key, u[None])
-        if path[0] < OVER_BOUND and np.array_equal(S0[0], s_bits) and np.array_equal(E0[0], e):
+        # u = A*s + e exactly with e centered, so where the nearest-plane
+        # answer is s, invert computes E = e; every |e_i| <= B_V, so its
+        # norm is at most B_V*sqrt(m) < _sample_noise_bound, and invert
+        # returns PRIMARY, s and e: the full decode would accept the key
+        if gadget is not None and (_nearest_plane(gadget, u[None])[2][0, :, 0] == s_bits).all():
+            return key
+        # a fallback repair can still land on s; a decoded row has
+        # u = A*S0 + E0 exactly, so S0 = s gives E0 = e
+        S0, _, path = invert_sample(key, u[None])
+        if path[0] < OVER_BOUND and np.array_equal(S0[0], s_bits):
             return key
     raise KeyGenFailure(f"no invertible key in {_KEYGEN_RETRIES} draws for {profile.name}")
 

@@ -13,14 +13,14 @@ caller's noise bound; if the nearest-plane answer fails that check,
 nearby block codewords are tried before reporting failure.  Every block
 ranks its codewords by syndrome distance in one batched sort, and the
 repairs of one block, then (at small n) of two blocks are each checked as
-one array, in a fixed order whose first hit wins; squared centered
-residues come from a table of size O(q) cached per modulus.  A
-residual's squared norm over its first rows is a sum of some of its
-non-negative terms, hence a lower bound on the whole: every candidate is
-first built on a fixed prefix of rows, and only those within the bound
-there are built in full, so refusing a garbage image costs a fraction of
-the residual rows.  A returned answer always satisfies y = A*s + e
-exactly.
+one array, in a fixed order whose first hit wins.  A residual's squared
+norm over its first rows is a sum of some of its non-negative terms,
+hence a lower bound on the whole: every candidate is first built on a
+fixed prefix of rows, in float64, and only those within the bound there
+are built in full, with the squared centered residues of the rest from a
+table of size O(q) cached per modulus, so refusing a garbage image costs
+a fraction of the residual rows.  A returned answer always satisfies
+y = A*s + e exactly.
 
 A block's nearest-plane value and ranked codewords depend only on its k
 residues.  Where q^k <= 2^16 (q <= 16) they are kept in a per-modulus
@@ -35,7 +35,7 @@ has no BLAS path for int64, so the decode's two products run in float64
 through modq.exact_matmul, which is exact for residues; converting the
 operands on every call would make a one-row decode slower than int64,
 and one copy a key does not.  A fallback search builds its candidates'
-prefix rows from A itself.
+prefix rows from that copy of A^T and the rest from A itself.
 
 Micro shapes (m < w + n) have no gadget and are inverted by a full search
 over s in Z_q^n.  Its answer depends only on A and the image, so an
@@ -226,9 +226,10 @@ def _block_rows(ring: ModRing, data: dict, r: np.ndarray) -> np.ndarray:
 def invert(key: TrapdoorKey, Y, max_norm: float):
     """Decode a stack of images, one a row, at once: (S, E, path), where
     row i has y = A*s + e exactly and the centered norm of e within
-    max_norm when path[i] < OVER_BOUND (see PATHS).  One primary decode
-    covers every block of every row; only the rows over the bound run the
-    fallback search, whose hit names the row's path, or OVER_BOUND when
+    max_norm when path[i] < OVER_BOUND (see PATHS).  One primary step,
+    _nearest_plane, covers every block of every row (clawfree.gen checks a
+    new key's own image with it alone); only the rows over the bound run
+    the fallback search, whose hit names the row's path, or OVER_BOUND when
     none meets the bound.  One image is decoded as a one-row stack.
 
     Y's entries must lie in [0, q), as exact_matmul needs; the protocol
@@ -236,9 +237,7 @@ def invert(key: TrapdoorKey, Y, max_norm: float):
     """
     ring = key.ring
     Y = _stack(Y, key.m)
-    data = _decode_data(ring)
-    r = ring.reduce(exact_matmul(Y[:, : key.mbar], key.RT) + Y[:, key.mbar :])
-    blocks = _block_rows(ring, data, r).reshape(len(Y), key.n, -1)
+    data, r, blocks = _nearest_plane(key, Y)
     S = blocks[:, :, 0].astype(np.int64)
     # centered reduces the product, so it is not reduced before
     E = ring.centered(Y - exact_matmul(S, key.AT))
@@ -250,6 +249,17 @@ def invert(key: TrapdoorKey, Y, max_norm: float):
         if s is not None:
             S[i], E[i] = s, ring.centered(Y[i] - exact_matmul(s, key.AT))
     return S, E, path
+
+
+def _nearest_plane(key: TrapdoorKey, Y: np.ndarray):
+    """A decode's primary step over the int64 stack Y: (data, r, blocks),
+    the modulus's _decode_data, r = [R | I]*Y mod q, and the _block_rows
+    of r with shape (k, n, -1), whose first column is each row's
+    nearest-plane answer."""
+    ring = key.ring
+    data = _decode_data(ring)
+    r = ring.reduce(exact_matmul(Y[:, : key.mbar], key.RT) + Y[:, key.mbar :])
+    return data, r, _block_rows(ring, data, r).reshape(len(Y), key.n, -1)
 
 
 def _stack(Y, m: int) -> np.ndarray:
@@ -269,9 +279,10 @@ def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
     # in (block, block, candidate, candidate) order.  The first repair in
     # that order whose residual meets the bound wins; deeper misses are
     # reported as failures.  Residuals are e0 plus column deltas, never
-    # full products, and their squared centered residues are looked up in
-    # the table of size 3q.  Returns the repaired s and the stage that hit,
-    # SINGLE or PAIR, or (None, OVER_BOUND).
+    # full products; their squared centered norms are summed in float64 on
+    # the prefix rows and looked up in the table of size 3q on the rest.
+    # Returns the repaired s and the stage that hit, SINGLE or PAIR, or
+    # (None, OVER_BOUND).
     q = key.ring.q
     sq = data["sq"]
     is_cand = ranked != s_primary[:, None]
@@ -283,16 +294,16 @@ def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
     step = (s_primary[owner] - value) % q
     r0 = e0 % q
     p = min(_FALLBACK_PREFIX, key.m)
-
-    def delta(cand, rows):
-        return key.ring.reduce(key.A.T[owner[cand], rows] * step[cand, None])
+    # prefix rows in float64, unreduced: a pair's residual stays below
+    # 2q^2 + q, which float64 holds exactly
+    head = key.AT[owner, :p] * step.astype(float)[:, None]
+    single = head + e0[:p]
 
     def tail(cand):
-        return delta(cand, slice(p, None))
+        return key.ring.reduce(key.A.T[owner[cand], p:] * step[cand, None])
 
-    head = delta(slice(None), slice(None, p))
     s = s_primary.copy()
-    i = _first_within(sq, head + r0[:p], lambda live: tail(live) + r0[p:], max_norm)
+    i = _first_within(_norms2(q, single), sq, lambda live: tail(live) + r0[p:], max_norm)
     if i is not None:
         s[owner[i]] = value[i]
         return s, SINGLE
@@ -310,26 +321,34 @@ def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
     def pair_tail(live):
         return tail(a[live]) + tail(b[live]) + r0[p:]
 
-    i = _first_within(sq, head[a] + head[b] + r0[:p], pair_tail, max_norm)
+    i = _first_within(_norms2(q, head[a] + single[b]), sq, pair_tail, max_norm)
     if i is None:
         return None, OVER_BOUND
     s[owner[a[i]]], s[owner[b[i]]] = value[a[i]], value[b[i]]
     return s, PAIR
 
 
+def _norms2(q, x):
+    """Each row's squared centered norm, for a float64 array x of integers
+    of magnitude below 2^51: x - q*rint(x/q) is x's centered residue, or
+    -q/2 for q/2, which squares alike.  x/q is taken as x * (1/q), whose
+    rounding error stays inside the 1/(2q) by which x/q misses a half."""
+    c = x - q * np.rint(x * (1.0 / q))
+    return np.einsum("ij,ij->i", c, c)
+
+
 def _within(norms2, max_norm):
     return np.sqrt(norms2.astype(float)) <= max_norm
 
 
-def _first_within(sq, head, tail, max_norm):
+def _first_within(part, sq, tail, max_norm):
     """Index of the first candidate whose residual has centered norm within
-    max_norm, or None.  head holds every candidate's residues in [0, 3q)
-    on the leading rows; tail(live) builds the remaining rows for the
-    candidates live only.  The head's squared norm is a sum of some of the
+    max_norm, or None.  part holds every candidate's squared centered norm
+    on the leading rows; tail(live) builds the remaining rows, as residues
+    in [0, 3q), for the candidates live only.  part is a sum of some of the
     full sum's non-negative terms and the test is monotone in it, so a
     candidate over the bound there fails the full test too and its tail
     is never built."""
-    part = sq[head].sum(axis=1)
     live = np.flatnonzero(_within(part, max_norm))
     if not live.size:
         return None
@@ -451,8 +470,11 @@ def trapdoor_from_json(obj: dict) -> TrapdoorKey:
     ring, A = mat_from_json(obj["A"])
     R = int_mat_from_json(obj["R"])
     mbar = exact_int(obj["layout"]["mbar"])
-    if not 1 <= mbar < A.shape[0] or R.shape != (A.shape[0] - mbar, mbar):
-        raise ValueError("trapdoor layout needs 1 <= mbar < m and R of shape (m - mbar, mbar)")
+    m, n = A.shape
+    if not 1 <= mbar < m or m - mbar != n * ring.coord_bits or R.shape != (m - mbar, mbar):
+        raise ValueError(
+            "trapdoor layout needs 1 <= mbar < m, m - mbar = n*ceil(log2 q) and R of shape (m - mbar, mbar)"
+        )
     key = TrapdoorKey(ring, A[:mbar], R)
     if not np.array_equal(key.A, A):
         raise ValueError("trapdoor block identity A = [Abar; G - R*Abar] violated")

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from clawrand import clawfree
 from clawrand.clawfree import (
+    KeyGenFailure,
     KeyPair,
+    PublicKey,
     chk,
     claw_equation_bit,
     claw_from_image,
@@ -18,6 +21,7 @@ from clawrand.clawfree import (
     in_claw_good_set,
     in_good_set,
     inv,
+    invert_sample,
     is_moderate_vector,
     keypair_from_json,
     keypair_to_json,
@@ -31,10 +35,18 @@ from clawrand.clawfree import (
     secret_mask,
 )
 from clawrand.gaussians import TruncGaussian, shifted_hellinger_bound
-from clawrand.modq import MAX_Q, ModRing, SizeGuardError, vec_to_json
-from clawrand.profiles import get_profile
+from clawrand.modq import MAX_Q, ModRing, SizeGuardError, exact_matmul, float_operand, vec_to_json
+from clawrand.profiles import PROFILES, get_profile
 from clawrand.rngstream import substream
-from clawrand.trapdoor import DecodeFailure, ImageTable, TrapdoorKey, trapdoor_to_json
+from clawrand.trapdoor import (
+    OVER_BOUND,
+    PRIMARY,
+    DecodeFailure,
+    ImageTable,
+    TrapdoorKey,
+    gen_trap,
+    trapdoor_to_json,
+)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +80,81 @@ def test_gen_at_power_of_two_modulus():
     key = gen(get_profile("desk-small", q=16), substream(100, "desk-key"))
     s0, _ = claw_from_image(key, key.public.u)
     assert np.array_equal(s0, key.s_bits)
+
+
+def _full_decode_gen(profile, rng):
+    """gen's loop with the full decode (invert_sample) checking every draw:
+    the key it returns, and each draw's outcome, "primary" where the decode
+    took the primary path to s, "repaired" where it reached s otherwise, or
+    "refused"."""
+    ring = profile.ring()
+    noise = profile.noise_dist(profile.B_V)
+    drawn = []
+    for _ in range(clawfree._KEYGEN_RETRIES):
+        if profile.uses_gadget:
+            gadget = gen_trap(ring, profile.n, profile.m, rng)
+            A, AT = gadget.A, gadget.AT
+        else:
+            gadget = None
+            A = ring.uniform(rng, (profile.m, profile.n))
+            if clawfree._min_claw_distance(ring, A) <= 2 * profile.B_P * math.sqrt(profile.m):
+                continue
+            AT = float_operand(A.T)
+        s_bits = rng.integers(0, 2, size=profile.n, dtype=np.int64)
+        e = ring.centered(noise.sample_vec(rng, profile.m))
+        u = ring.reduce(exact_matmul(s_bits, AT) + e)
+        key = KeyPair(PublicKey(profile, A, u, AT), gadget, s_bits, e)
+        S0, E0, path = invert_sample(key, u[None])
+        if path[0] < OVER_BOUND and np.array_equal(S0[0], s_bits) and np.array_equal(E0[0], e):
+            drawn.append("primary" if path[0] == PRIMARY else "repaired")
+            return key, drawn
+        drawn.append("refused")
+    raise KeyGenFailure(profile.name)
+
+
+# every runnable profile, and desk-small with key noise twice its branch
+# noise, where about a third of draws miss the nearest-plane answer
+_GEN_PROFILES = [p for p in PROFILES.values() if p.runnable] + [get_profile("desk-small", B_V=2.0)]
+
+
+@pytest.mark.parametrize("profile", _GEN_PROFILES, ids=lambda p: f"{p.name}-B_V{p.B_V}")
+def test_gen_matches_the_full_decode_reference(profile):
+    # gen accepts a gadget key from its nearest-plane answer alone: the same
+    # keys, drawn from the same stream, as a full decode of every draw
+    drawn = []
+    for seed in range(40):
+        ref_rng, rng = substream(seed, "gen-ref"), substream(seed, "gen-ref")
+        ref, ref_drawn = _full_decode_gen(profile, ref_rng)
+        key = gen(profile, rng)
+        drawn += ref_drawn
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for got, want in [(key.public.A, ref.public.A), (key.public.u, ref.public.u),
+                          (key.s_bits, ref.s_bits), (key.e, ref.e)]:
+            assert np.array_equal(got, want)
+        if profile.uses_gadget:
+            assert np.array_equal(key.gadget.R, ref.gadget.R)
+    if profile.B_V == 2.0:
+        # the seeds reach every outcome of a draw
+        assert {"primary", "repaired", "refused"} <= set(drawn)
+
+
+@pytest.mark.parametrize("profile", [get_profile("desk-protocol"), get_profile("desk-small", B_V=2.0)],
+                         ids=["desk-protocol", "desk-small-B_V2.0"])
+def test_gen_decodes_only_a_primary_miss_in_full(monkeypatch, profile):
+    # a count of trapdoor.invert calls, no timing: one for each draw whose
+    # nearest-plane answer is not s, none at desk-protocol
+    misses = sum(
+        outcome != "primary"
+        for seed in range(40)
+        for outcome in _full_decode_gen(profile, substream(seed, "gen-count"))[1]
+    )
+    calls = []
+    invert = clawfree.invert
+    monkeypatch.setattr(clawfree, "invert", lambda *args, **kwargs: calls.append(1) or invert(*args, **kwargs))
+    for seed in range(40):
+        gen(profile, substream(seed, "gen-count"))
+    assert len(calls) == misses
+    assert (misses == 0) == (profile.name == "desk-protocol")
 
 
 def test_micro_supports_disjoint_and_matching(micro_key):
@@ -591,6 +678,15 @@ def _tamper_mbar(obj, key):
     obj["trapdoor"]["layout"]["mbar"] = -obj["trapdoor"]["R"]["rows"]
 
 
+def _tamper_last_rows(obj, key):
+    # A and R each without their last row: R still has shape (m - mbar, mbar),
+    # but m - mbar is one short of n*ceil(log2 q)
+    for part in ("A", "R"):
+        mat = obj["trapdoor"][part]
+        mat["rows"] -= 1
+        mat["data"] = mat["data"][: -mat["cols"]]
+
+
 def _tamper_trapdoor_A(obj, key):
     # the last gadget row of the trapdoor's A, off the A its Abar and R make
     data = obj["trapdoor"]["A"]["data"]
@@ -623,12 +719,13 @@ def _tamper_R_entry(obj, key):
         (_tamper_R_rows, ValueError, "declared shape"),
         (_tamper_R_cols, ValueError, "declared shape"),
         (_tamper_mbar, ValueError, "1 <= mbar < m"),
+        (_tamper_last_rows, ValueError, "m - mbar = n\\*ceil\\(log2 q\\)"),
         (_tamper_trapdoor_A, ValueError, "block identity"),
         (_tamper_R_entry, ValueError, "R entries"),
     ],
     ids=[
         "s", "e", "u", "trapdoor", "no-trapdoor", "q", "s-fraction", "A-fraction", "q-fraction", "R-fraction", "wide-int",
-        "R-rows", "R-cols", "mbar", "trapdoor-A", "R-entry",
+        "R-rows", "R-cols", "mbar", "last-rows", "trapdoor-A", "R-entry",
     ],
 )
 def test_keypair_from_json_rejects_tampered_field(desk_key, tamper, exc, message):
