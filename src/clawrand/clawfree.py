@@ -139,8 +139,7 @@ def _min_claw_distance(ring: ModRing, A: np.ndarray) -> float:
     # A*s for every s in Z_q^n in residue_grid order, only built for micro
     # shapes where q^n is tiny: row 0 is s = 0, so the other rows are the
     # images of all nonzero deltas
-    img = ring.centered((residue_grid(ring.q, A.shape[1]) @ A.T)[1:]).astype(float)
-    return float(np.sqrt((img * img).sum(axis=1)).min())
+    return float(ring.norm((residue_grid(ring.q, A.shape[1]) @ A.T)[1:]).min())
 
 
 def gen(profile: ParameterProfile, rng: np.random.Generator) -> KeyPair:
@@ -216,7 +215,7 @@ def chk(pub: PublicKey, b, x, y):
     b = np.asarray(b)
     if np.any((b != 0) & (b != 1)):
         raise ValueError("branch bit must be 0 or 1")
-    # the norm reduces the residual, so the product is not reduced before
+    # the norm takes the residual's centered residues, so nothing is reduced before
     resid = np.asarray(y) - exact_matmul(x, pub.AT) - b[..., None] * pub.u
     passed = pub.ring.norm(resid) <= pub.profile.B_P * math.sqrt(pub.profile.m)
     return passed.astype(int) if isinstance(passed, np.ndarray) else int(passed)
@@ -527,7 +526,7 @@ def keypair_from_json(obj: dict, profile: ParameterProfile) -> KeyPair:
     if e.shape != (profile.m,) or np.any(np.abs(e) > profile.B_V):
         raise ValueError("key noise is not a length-m vector within B_V")
     ring = pub.ring
-    if not np.array_equal(pub.u, ring.reduce(ring.matmul(pub.A, s_bits) + e)):
+    if not np.array_equal(pub.u, ring.reduce(exact_matmul(s_bits, pub.AT) + e)):
         raise ValueError("u is not A*s + e (mod q)")
     if gadget is not None and not np.array_equal(gadget.A, pub.A):
         raise ValueError("trapdoor is for a different A")

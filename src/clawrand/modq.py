@@ -71,12 +71,23 @@ class ModRing:
     def abs(self, a) -> np.ndarray:
         return np.abs(self.centered(a))
 
+    def norm2(self, x) -> np.ndarray:
+        """Squared Euclidean norm of the centered representatives along the
+        last axis of x, as float64.  x holds integers, int64 or float64, of
+        magnitude below 2^51, reduced or not: x - q*rint(x/q) is x's
+        centered residue, or -q/2 for q/2, which squares alike.  x/q is
+        taken as x * (1/q), whose rounding error stays inside the 1/(2q) by
+        which x/q misses a half, and the sum of squares stays below 2^53,
+        so the result is exact."""
+        x = np.asarray(x, dtype=np.float64)
+        c = x - self.q * np.rint(x * (1.0 / self.q))
+        return np.einsum("...i,...i->...", c, c)
+
     def norm(self, v):
         """Euclidean norm of the centered representatives of a vector v, or
         an array of the norms of each row of a stack v: the square root of
-        the exact integer sum of squares, which stays below 2^53."""
-        c = self.centered(v)
-        norms = np.sqrt((c * c).sum(axis=-1).astype(float))
+        norm2, so of an exact integer."""
+        norms = np.sqrt(self.norm2(v))
         return float(norms) if norms.ndim == 0 else norms
 
     def uniform(self, rng: np.random.Generator, shape) -> np.ndarray:

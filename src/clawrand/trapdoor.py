@@ -16,11 +16,10 @@ repairs of one block, then (at small n) of two blocks are each checked as
 one array, in a fixed order whose first hit wins.  A residual's squared
 norm over its first rows is a sum of some of its non-negative terms,
 hence a lower bound on the whole: every candidate is first built on a
-fixed prefix of rows, in float64, and only those within the bound there
-are built in full, with the squared centered residues of the rest from a
-table of size O(q) cached per modulus, so refusing a garbage image costs
-a fraction of the residual rows.  A returned answer always satisfies
-y = A*s + e exactly.
+fixed prefix of rows and only those within the bound there are built in
+full, so refusing a garbage image costs a fraction of the residual rows.
+Every norm the search and the ranking take is ModRing.norm2's.  A
+returned answer always satisfies y = A*s + e exactly.
 
 A block's nearest-plane value and ranked codewords depend only on its k
 residues.  Where q^k <= 2^16 (q <= 16) they are kept in a per-modulus
@@ -34,8 +33,8 @@ float64 copy of each matrix a decode multiplies by, A^T and R^T.  numpy
 has no BLAS path for int64, so the decode's two products run in float64
 through modq.exact_matmul, which is exact for residues; converting the
 operands on every call would make a one-row decode slower than int64,
-and one copy a key does not.  A fallback search builds its candidates'
-prefix rows from that copy of A^T and the rest from A itself.
+and one copy a key does not.  A fallback search builds every candidate
+residual from that copy of A^T too.
 
 Micro shapes (m < w + n) have no gadget and are inverted by a full search
 over s in Z_q^n.  Its answer depends only on A and the image, so an
@@ -168,8 +167,6 @@ def _decode_data(ring: ModRing) -> dict:
     # every codeword t*g mod q of a block, t in Z_q
     g = gadget_matrix(ring, 1)[:, 0]
     data["codebook"] = ring.reduce(np.outer(np.arange(q, dtype=np.int64), g))
-    # squared centered residue of r mod q, for 0 <= r < 3q
-    data["sq"] = (ring.centered(np.arange(3 * q, dtype=np.int64)) ** 2).astype(np.int32)
     if q**k <= _TABLE_BLOCKS:
         # one row per block of residues, indexed in residue_grid order:
         # _block_rows' row for that block, or -1 until it is first met
@@ -196,9 +193,7 @@ def _rank_codewords(ring: ModRing, data: dict, c: np.ndarray) -> np.ndarray:
     """Every k-sized block of the centered c ranks all q codewords by
     syndrome distance (stable sort, so ties keep codeword order); the top
     min(_FALLBACK_LIST, q) of each block."""
-    # c is centered, so c - codeword + 2q lies in [0, 3q)
-    blocks = c.reshape(-1, 1, data["k"])
-    dist = data["sq"][blocks + (2 * ring.q - data["codebook"])].sum(axis=2)
+    dist = ring.norm2(c.reshape(-1, 1, data["k"]) - data["codebook"])
     return np.argsort(dist, axis=1, kind="stable")[:, :_FALLBACK_LIST]
 
 
@@ -245,7 +240,7 @@ def invert(key: TrapdoorKey, Y, max_norm: float):
     path = np.where(ok, PRIMARY, OVER_BOUND).astype(np.int8)
     for i in np.flatnonzero(~ok):
         ranked = blocks[i, :, 1:] if "table" in data else _rank_codewords(ring, data, ring.centered(r[i]))
-        s, path[i] = _fallback_search(key, data, ranked, E[i], S[i], max_norm)
+        s, path[i] = _fallback_search(key, ranked, E[i], S[i], max_norm)
         if s is not None:
             S[i], E[i] = s, ring.centered(Y[i] - exact_matmul(s, key.AT))
     return S, E, path
@@ -270,7 +265,7 @@ def _stack(Y, m: int) -> np.ndarray:
     return Y
 
 
-def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
+def _fallback_search(key, ranked, e0, s_primary, max_norm):
     # The nearest-plane answer rarely misses by more than a block or two,
     # so repairs are searched in two batches.  Each block's ranked
     # codewords (from _block_rows) other than its primary value are its
@@ -279,31 +274,25 @@ def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
     # in (block, block, candidate, candidate) order.  The first repair in
     # that order whose residual meets the bound wins; deeper misses are
     # reported as failures.  Residuals are e0 plus column deltas, never
-    # full products; their squared centered norms are summed in float64 on
-    # the prefix rows and looked up in the table of size 3q on the rest.
-    # Returns the repaired s and the stage that hit, SINGLE or PAIR, or
-    # (None, OVER_BOUND).
-    q = key.ring.q
-    sq = data["sq"]
+    # full products, built unreduced in float64 from A^T: a pair's stays
+    # below 2q^2 + q, in norm2's domain.  Returns the repaired s and the
+    # stage that hit, SINGLE or PAIR, or (None, OVER_BOUND).
+    ring = key.ring
     is_cand = ranked != s_primary[:, None]
     owner = np.nonzero(is_cand)[0]
     value = ranked[is_cand]
-    # the column delta (s_primary[j] - t) * A[:, j] mod q of a candidate
-    # is step * A[:, j]: its prefix rows are built for every candidate,
-    # the rest for prefix survivors only
-    step = (s_primary[owner] - value) % q
-    r0 = e0 % q
+    # a candidate's column delta is step * A[:, j]: its prefix rows are
+    # built for every candidate, the rest for prefix survivors only
+    step = (s_primary[owner] - value).astype(float)[:, None]
     p = min(_FALLBACK_PREFIX, key.m)
-    # prefix rows in float64, unreduced: a pair's residual stays below
-    # 2q^2 + q, which float64 holds exactly
-    head = key.AT[owner, :p] * step.astype(float)[:, None]
+    head = key.AT[owner, :p] * step
     single = head + e0[:p]
 
     def tail(cand):
-        return key.ring.reduce(key.A.T[owner[cand], p:] * step[cand, None])
+        return key.AT[owner[cand], p:] * step[cand]
 
     s = s_primary.copy()
-    i = _first_within(_norms2(q, single), sq, lambda live: tail(live) + r0[p:], max_norm)
+    i = _first_within(ring, single, lambda live: tail(live) + e0[p:], max_norm)
     if i is not None:
         s[owner[i]] = value[i]
         return s, SINGLE
@@ -319,40 +308,32 @@ def _fallback_search(key, data, ranked, e0, s_primary, max_norm):
     a, b = index[j1, r1], index[j2, r2]
 
     def pair_tail(live):
-        return tail(a[live]) + tail(b[live]) + r0[p:]
+        return tail(a[live]) + tail(b[live]) + e0[p:]
 
-    i = _first_within(_norms2(q, head[a] + single[b]), sq, pair_tail, max_norm)
+    i = _first_within(ring, head[a] + single[b], pair_tail, max_norm)
     if i is None:
         return None, OVER_BOUND
     s[owner[a[i]]], s[owner[b[i]]] = value[a[i]], value[b[i]]
     return s, PAIR
 
 
-def _norms2(q, x):
-    """Each row's squared centered norm, for a float64 array x of integers
-    of magnitude below 2^51: x - q*rint(x/q) is x's centered residue, or
-    -q/2 for q/2, which squares alike.  x/q is taken as x * (1/q), whose
-    rounding error stays inside the 1/(2q) by which x/q misses a half."""
-    c = x - q * np.rint(x * (1.0 / q))
-    return np.einsum("ij,ij->i", c, c)
-
-
 def _within(norms2, max_norm):
-    return np.sqrt(norms2.astype(float)) <= max_norm
+    return np.sqrt(norms2) <= max_norm
 
 
-def _first_within(part, sq, tail, max_norm):
+def _first_within(ring, prefix, tail, max_norm):
     """Index of the first candidate whose residual has centered norm within
-    max_norm, or None.  part holds every candidate's squared centered norm
-    on the leading rows; tail(live) builds the remaining rows, as residues
-    in [0, 3q), for the candidates live only.  part is a sum of some of the
-    full sum's non-negative terms and the test is monotone in it, so a
+    max_norm, or None.  prefix holds every candidate's residual on the
+    leading rows; tail(live) builds the remaining rows for the candidates
+    live only.  The prefix's squared norm is a sum of some of the full
+    sum's non-negative terms and the test is monotone in it, so a
     candidate over the bound there fails the full test too and its tail
     is never built."""
+    part = ring.norm2(prefix)
     live = np.flatnonzero(_within(part, max_norm))
     if not live.size:
         return None
-    hits = np.flatnonzero(_within(part[live] + sq[tail(live)].sum(axis=1), max_norm))
+    hits = np.flatnonzero(_within(part[live] + ring.norm2(tail(live)), max_norm))
     return int(live[hits[0]]) if hits.size else None
 
 
@@ -439,7 +420,7 @@ def measure_decode_radius(
             e = noise.sample_vec(rng, key.m)
             nrm = ring.norm(e)
             s = ring.uniform(rng, key.n)
-            y = ring.reduce(ring.matmul(key.A, s) + e)
+            y = ring.reduce(exact_matmul(s, key.AT) + e)
             S, _, path = invert(key, y[None], max_norm=nrm + 1e-9)
             results.append((nrm, path[0] < OVER_BOUND and np.array_equal(S[0], s)))
     results.sort()

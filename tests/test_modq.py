@@ -58,6 +58,36 @@ def test_norm_is_sum_of_centered_abs_squares():
                 v = ring.uniform(rng, m)
                 exact = math.sqrt(sum(int(a) ** 2 for a in ring.centered(v)))
                 assert ring.norm(v) == exact
+        # unreduced integers up to the largest the verifier passes: chk's
+        # residual at n = 32 and a fallback pair's residual
+        big = max(32 * (q - 1) ** 2 + 2 * q, 2 * q * q + q)
+        v = rng.integers(-big, big + 1, size=(4, 5, 56))
+        v[0, 0, :4] = (big, -big, big - 1, 1 - big)
+        _assert_norms_exact(ring, v)
+    # exact half-multiples q/2 + k*q, with k up to where |x| nears 2^51;
+    # 1/q is inexact at q = 10 and 4094
+    for q in (4, 10, 16, 4094, 4096):
+        top = ((1 << 51) - q) // q
+        k = np.concatenate([np.arange(-40, 40), rng.integers(-top, top, 78), [top - 1, -top]])
+        _assert_norms_exact(ModRing(q), (q // 2 + k * q).reshape(4, 5, 8))
+
+
+def _centered_sq_sum(q, row):
+    # the integer reference, in Python ints
+    return sum(min(x % q, q - x % q) ** 2 for x in map(int, row))
+
+
+def _assert_norms_exact(ring, v):
+    # norm2 and norm on 1-D inputs, row-wise on 2-D stacks and on the 3-D
+    # array itself, with int64 and float64 inputs, against the reference
+    want = np.array([[_centered_sq_sum(ring.q, row) for row in plane] for plane in v])
+    for x in (v, v.astype(np.float64)):
+        assert np.array_equal(ring.norm2(x), want)
+        assert np.array_equal(ring.norm(x), np.sqrt(want.astype(float)))
+        for plane, w in zip(x, want):
+            assert np.array_equal(ring.norm2(plane), w)
+            assert np.array_equal(ring.norm(plane), np.sqrt(w.astype(float)))
+            assert ring.norm2(plane[0]) == w[0] and ring.norm(plane[0]) == math.sqrt(w[0])
 
 
 def test_bit_encode_examples():

@@ -13,6 +13,7 @@ from clawrand.trapdoor import (
     _block_decode_primary,
     _block_rows,
     _decode_data,
+    _rank_codewords,
     OVER_BOUND,
     PAIR,
     PATHS,
@@ -456,7 +457,7 @@ def _ranked_reference(ring, c):
     return np.lexsort((codeword, dist), axis=1)[:, : min(6, q)]
 
 
-@pytest.mark.parametrize("q", [13, 3])
+@pytest.mark.parametrize("q", [13, 3, 16])
 def test_block_table_matches_direct_decode(q):
     # every block of residues, in residue_grid order: the table row at a
     # block's index holds its nearest-plane value and its ranked codewords
@@ -472,6 +473,22 @@ def test_block_table_matches_direct_decode(q):
     assert np.array_equal(table[:, 0], _block_decode_primary(ring, data, c))
     assert np.array_equal(table[:, 1:], _ranked_reference(ring, c))
     assert np.array_equal(rows, table)
+
+
+@pytest.mark.parametrize("q", [61, 4096])
+def test_rank_codewords_without_a_table(q):
+    # moduli past the block table rank each failed row's blocks directly:
+    # random centered blocks, and blocks whose entries are the extremes
+    # +-q/2 (for even q, -q/2 is q/2's congruent twin) or near them
+    ring = ModRing(q)
+    k = ring.coord_bits
+    data = _decode_data(ring)
+    assert "table" not in data
+    rng = np.random.default_rng(16)
+    half = q // 2
+    edge = rng.choice([-half, half, 1 - half, half - 1, 0], size=(20, k))
+    for c in (ring.centered(ring.uniform(rng, (30, k))), edge):
+        assert np.array_equal(_rank_codewords(ring, data, c), _ranked_reference(ring, c))
 
 
 def test_decode_outcomes_do_not_depend_on_table_fill_order():
